@@ -4,7 +4,14 @@ Bins are bookkept as a buddy system over the scheme's allowed block
 sizes.  ``free[j]`` holds the start indexes of the *maximal* free
 aligned blocks of size ``block_sizes[j]``: whenever every child of a
 parent block is free the children are coalesced, so the free lists are
-exactly the maximal free aligned ranges at all times.
+exactly the maximal free aligned ranges at all times.  The free lists,
+``groups`` (the ranges each active request holds) and ``blocked`` are
+the whole state; nothing is kept in a second copy.
+
+One core serves every policy.  ``BinState._split`` is the only split:
+it frees every part of a claimed block except the chain of children
+that leads to a target block.  ``BinState._release_block`` is the only
+coalesce.  ``_commit`` is the only place a grant is recorded.
 
 Admission policies for a single request of an allowed size:
 
@@ -15,11 +22,12 @@ Admission policies for a single request of an allowed size:
   split: it draws one of the larger maximal blocks uniformly and walks
   down with a uniform child choice at every level.
 
+``place`` grants a request one given free aligned block.
 ``allocate_batch_sync`` packs a whole batch into a clean band, either
-sort-first (descending size, left to right) or by repeated
-``min_small_change`` admissions in arrival order.  ``admit_multistream``
-serves a request of arbitrary size by gathering several allowed-size
-blocks, so it never blocks on fragmentation.
+sort-first (descending size, left to right, through ``place``) or by
+repeated ``min_small_change`` admissions in arrival order.
+``admit_multistream`` serves a request of arbitrary size by gathering
+several allowed-size blocks, so it never blocks on fragmentation.
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ _BLOCKED_FRAGMENTATION = AdmissionOutcome(AdmissionStatus.BLOCKED_FRAGMENTATION)
 class BinState:
     """Occupancy of one band: active allocations, blocked bins, free lists."""
 
-    __slots__ = ("scheme", "free", "free_count", "occupancy", "groups", "blocked",
+    __slots__ = ("scheme", "free", "free_count", "groups", "blocked",
                  "_sizes", "_fanout", "_top")
 
     def __init__(self, scheme: RadixScheme, blocked_bins: tuple[int, ...] = ()):
@@ -100,14 +108,12 @@ class BinState:
         self.free: list[set[int]] = [set() for _ in range(self._top + 1)]
         self.free[self._top].add(0)
         self.free_count = scheme.size
-        self.occupancy = 0
         self.groups: dict[int, tuple[AlignedRange, ...]] = {}
         self.blocked = frozenset(blocked_bins)
         for b in sorted(self.blocked):
             if not 0 <= b < scheme.size:
                 raise ValueError(f"blocked bin {b} out of range for band size {scheme.size}")
             self._carve(b, 0)
-            self.occupancy |= 1 << b
             self.free_count -= 1
 
     def clone(self) -> "BinState":
@@ -118,7 +124,6 @@ class BinState:
         other._top = self._top
         other.free = [set(fs) for fs in self.free]
         other.free_count = self.free_count
-        other.occupancy = self.occupancy
         other.groups = dict(self.groups)
         other.blocked = self.blocked
         return other
@@ -133,14 +138,14 @@ class BinState:
             block = start - start % sizes[j]
             if block in free[j]:
                 free[j].discard(block)
-                self._split_towards(j, block, level, start)
+                self._split(j, block, level, start)
                 return
         raise ValueError(
             f"bins [{start}, {start + sizes[level]}) are not entirely free"
         )
 
-    def _split_towards(self, j: int, block: int, level: int, target: int) -> None:
-        """Free every part of a claimed level-j block except the target child chain."""
+    def _split(self, j: int, block: int, level: int, target: int) -> None:
+        """Free every part of a claimed level-j block but the level-``level`` one at target."""
         sizes = self._sizes
         fanout = self._fanout
         free = self.free
@@ -186,18 +191,12 @@ class BinState:
 
     def _take_min(self, n: int) -> int | None:
         free = self.free
-        sizes = self._sizes
-        fanout = self._fanout
         for j in range(n, self._top + 1):
             fs = free[j]
             if fs:
                 start = min(fs)
                 fs.discard(start)
-                for k in range(j - 1, n - 1, -1):
-                    step = sizes[k]
-                    add = free[k].add
-                    for c in range(1, fanout[k]):
-                        add(start + c * step)
+                self._split(j, start, n, start)
                 return start
         return None
 
@@ -228,18 +227,14 @@ class BinState:
             j += 1
         block = sorted(free[j])[r]
         free[j].discard(block)
+        # draw the child of every level top-down first: that is the RNG draw order
         sizes = self._sizes
         fanout = self._fanout
-        s = block
+        target = block
         for k in range(j - 1, n - 1, -1):
-            step = sizes[k]
-            idx = rng.randrange(fanout[k])
-            add = free[k].add
-            for c in range(fanout[k]):
-                if c != idx:
-                    add(s + c * step)
-            s += idx * step
-        return s
+            target += rng.randrange(fanout[k]) * sizes[k]
+        self._split(j, block, n, target)
+        return target
 
 
 def free_subsets(state: BinState) -> list[AlignedRange]:
@@ -251,6 +246,17 @@ def free_subsets(state: BinState) -> list[AlignedRange]:
     ]
     out.sort(key=lambda r: r.start)
     return out
+
+
+def _commit(
+    state: BinState, request_id: int, ranges: tuple[AlignedRange, ...], size: int
+) -> AdmissionOutcome:
+    """Record a grant of already-claimed ranges and build its outcome."""
+    state.groups[request_id] = ranges
+    state.free_count -= size
+    return AdmissionOutcome(
+        AdmissionStatus.GRANTED, Allocation(request_id, ranges, state.scheme)
+    )
 
 
 def admit(
@@ -276,13 +282,16 @@ def admit(
             return _BLOCKED_OVERLOAD
         return _BLOCKED_FRAGMENTATION
     size = request.size
-    r = AlignedRange(start, size)
-    state.groups[request.id] = (r,)
-    state.occupancy |= ((1 << size) - 1) << start
-    state.free_count -= size
-    return AdmissionOutcome(
-        AdmissionStatus.GRANTED, Allocation(request.id, (r,), state.scheme)
-    )
+    return _commit(state, request.id, (AlignedRange(start, size),), size)
+
+
+def place(state: BinState, request: Request, start: int) -> Allocation:
+    """Grant a request exactly the free aligned block of its size at start."""
+    if request.id in state.groups:
+        raise ValueError(f"request id {request.id} is already active")
+    r = AlignedRange(start, request.size)
+    state._carve(start, state.scheme.level_of(request.size))
+    return _commit(state, request.id, (r,), request.size).allocation
 
 
 def release(state: BinState, request_id: int) -> None:
@@ -292,23 +301,19 @@ def release(state: BinState, request_id: int) -> None:
         raise ValueError(f"request id {request_id} is not active")
     level_of = state.scheme.level_of
     for r in ranges:
-        state.occupancy &= ~(((1 << r.size) - 1) << r.start)
         state.free_count += r.size
         state._release_block(r.start, level_of(r.size))
 
 
-def admit_multistream(
-    state: BinState, request: Request, rng: Random | None = None
-) -> AdmissionOutcome:
+def admit_multistream(state: BinState, request: Request) -> AdmissionOutcome:
     """Serve an arbitrary-size request as several allowed-size streams.
 
-    Gathers largest-fitting blocks first (ties by lowest start), splitting
-    the smallest too-large block when nothing fits the remaining need.
+    Gathers largest-fitting blocks first (ties by lowest start).  When
+    every free block is larger than the remaining need, it takes what
+    ``min_small_change`` would for the largest size that fits: the lowest
+    of the smallest larger blocks, split keeping its lowest child.
     Grants whenever enough bins are free, so fragmentation never blocks.
-    The rng parameter is accepted for interface symmetry; the gather is
-    deterministic.
     """
-    del rng
     size = request.size
     if not 1 <= size <= state.scheme.size:
         raise ValueError(f"request size {size} out of range for band size {state.scheme.size}")
@@ -321,52 +326,15 @@ def admit_multistream(
     remaining = size
     taken: list[AlignedRange] = []
     while remaining:
-        j = None
-        for jj in range(state._top, -1, -1):
-            if sizes[jj] <= remaining and free[jj]:
-                j = jj
-                break
-        if j is None:
-            # every free block is larger than the remaining need; split the
-            # smallest one (lowest start) and retry
-            jj = 0
-            while not free[jj]:
-                jj += 1
-            start = min(free[jj])
-            free[jj].discard(start)
-            step = sizes[jj - 1]
-            add = free[jj - 1].add
-            for c in range(state._fanout[jj - 1]):
-                add(start + c * step)
-            continue
-        start = min(free[j])
-        free[j].discard(start)
+        fit = state._top
+        while sizes[fit] > remaining:
+            fit -= 1
+        j = next((jj for jj in range(fit, -1, -1) if free[jj]), fit)
+        start = state._take_min(j)
         taken.append(AlignedRange(start, sizes[j]))
         remaining -= sizes[j]
     taken.sort(key=lambda r: r.start)
-    occ = 0
-    for r in taken:
-        occ |= ((1 << r.size) - 1) << r.start
-    state.occupancy |= occ
-    state.free_count -= size
-    ranges = tuple(taken)
-    state.groups[request.id] = ranges
-    return AdmissionOutcome(
-        AdmissionStatus.GRANTED, Allocation(request.id, ranges, state.scheme)
-    )
-
-
-def partition_multistream(size: int, scheme: RadixScheme) -> tuple[int, ...]:
-    """Split an arbitrary size into the fewest allowed block sizes, largest first."""
-    if not 1 <= size <= scheme.size:
-        raise ValueError(f"size {size} out of range for band size {scheme.size}")
-    parts = []
-    remaining = size
-    for block in reversed(scheme.block_sizes):
-        while block <= remaining:
-            parts.append(block)
-            remaining -= block
-    return tuple(parts)
+    return _commit(state, request.id, tuple(taken), size)
 
 
 def allocate_batch_sync(
@@ -379,7 +347,8 @@ def allocate_batch_sync(
     """Place a whole batch on a clean band; returns allocations in input order.
 
     With sort_first the batch is sorted descending by size (ties by id) and
-    packed left to right, which requires a band with no prior occupancy.
+    packed left to right through ``place``, which requires a band with no
+    bin in use.
     With min_small_change the requests are admitted in list order, which
     also works on a band holding blocked bins.  A batch whose total size
     exceeds the free capacity raises BatchRejected.
@@ -402,16 +371,11 @@ def allocate_batch_sync(
         )
     out: dict[int, Allocation] = {}
     if policy == SORT_FIRST:
-        if state.occupancy:
-            raise ValueError("sort_first packs a clean band and cannot honour prior occupancy")
+        if state.free_count != state.scheme.size:
+            raise ValueError("sort_first packs a clean band and cannot honour bins in use")
         pos = 0
         for req in sorted(requests, key=lambda r: (-r.size, r.id)):
-            state._carve(pos, state.scheme.level_of(req.size))
-            rng_ = AlignedRange(pos, req.size)
-            state.groups[req.id] = (rng_,)
-            state.occupancy |= ((1 << req.size) - 1) << pos
-            state.free_count -= req.size
-            out[req.id] = Allocation(req.id, (rng_,), state.scheme)
+            out[req.id] = place(state, req, pos)
             pos += req.size
     elif policy == MIN_SMALL_CHANGE:
         for req in requests:
@@ -455,10 +419,8 @@ def check_consistency(state: BinState) -> None:
             raise AssertionError(f"blocked bin {b} overlaps an allocation")
         occ |= mask
         used += 1
-    if occ != state.occupancy:
-        raise AssertionError("occupancy bitmap disagrees with groups plus blocked bins")
     if state.free_count != m_bits - used:
-        raise AssertionError("free_count disagrees with occupancy")
+        raise AssertionError("free_count disagrees with groups plus blocked bins")
     seen = 0
     for j, fs in enumerate(state.free):
         size = state._sizes[j]
@@ -467,7 +429,7 @@ def check_consistency(state: BinState) -> None:
                 raise AssertionError(f"free block {start}/{size} misaligned")
             mask = ((1 << size) - 1) << start
             if mask & occ:
-                raise AssertionError(f"free block {start}/{size} overlaps occupancy")
+                raise AssertionError(f"free block {start}/{size} overlaps a held bin")
             if mask & seen:
                 raise AssertionError(f"free block {start}/{size} overlaps another free block")
             seen |= mask
@@ -477,4 +439,4 @@ def check_consistency(state: BinState) -> None:
                 if siblings <= fs:
                     raise AssertionError(f"free block {start}/{size} not coalesced")
     if seen | occ != (1 << m_bits) - 1:
-        raise AssertionError("free lists plus occupancy do not cover the band")
+        raise AssertionError("free lists plus held bins do not cover the band")

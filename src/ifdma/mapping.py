@@ -109,11 +109,6 @@ class RadixScheme:
             ) from None
 
 
-def allowed_sizes(scheme: RadixScheme) -> tuple[int, ...]:
-    """Request/block sizes the scheme can map onto evenly spaced subcarriers."""
-    return scheme.block_sizes
-
-
 def digit_reverse(k: int, scheme: RadixScheme) -> int:
     """Map bin k to its subcarrier by mixed-radix digit reversal."""
     if not 0 <= k < scheme.size:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence, TextIO
@@ -40,7 +41,7 @@ from .allocator import (
     admit_multistream,
     release,
 )
-from .mapping import RadixScheme
+from .mapping import MAX_BAND, RadixScheme
 
 OFDMA = "ofdma"
 MULTISTREAM = "multistream"
@@ -48,6 +49,18 @@ POLICIES = (MIN_SMALL_CHANGE, RANDOM, OFDMA, MULTISTREAM)
 
 CSV_COLUMNS = ("policy", "mix", "G", "P_B", "P_B_ci", "P_f", "P_f_ci", "S",
                "seed", "replications")
+
+MAX_M = MAX_BAND.bit_length() - 1  # largest m whose band 2**m fits the cap
+
+
+def _check_m(m: int) -> None:
+    if not 0 <= m <= MAX_M:
+        raise ValueError(f"m must be in 0..{MAX_M} (band size cap {MAX_BAND}), got {m}")
+
+
+def _check_holding_mean(holding_mean: float) -> None:
+    if not (math.isfinite(holding_mean) and holding_mean > 0):
+        raise ValueError(f"holding_mean must be finite and > 0, got {holding_mean}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +74,10 @@ class TrafficModel:
     mix: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not self.holding_mean > 0:
-            raise ValueError(f"holding_mean must be > 0, got {self.holding_mean}")
+        _check_m(self.m)
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        _check_holding_mean(self.holding_mean)
         cl = tuple(sorted(set(self.classes)))
         if not cl:
             raise ValueError("need at least one size class")
@@ -83,6 +94,7 @@ class TrafficModel:
     def full_mix(cls, m: int, *, lam: float | None = None, G: float | None = None,
                  holding_mean: float = 1.0) -> "TrafficModel":
         """All classes 0..m; give either lam or the normalized offered load G."""
+        _check_m(m)
         classes = tuple(range(m + 1))
         lam = _resolve_lam(m, lam, G, len(classes), holding_mean)
         return cls(m, lam, classes, holding_mean, mix="full")
@@ -91,6 +103,7 @@ class TrafficModel:
     def limited_mix(cls, m: int, *, lam: float | None = None, G: float | None = None,
                     holding_mean: float = 1.0) -> "TrafficModel":
         """Classes 0..m//2 only (no request larger than sqrt of the band)."""
+        _check_m(m)
         classes = tuple(range(m // 2 + 1))
         lam = _resolve_lam(m, lam, G, len(classes), holding_mean)
         return cls(m, lam, classes, holding_mean, mix="limited")
@@ -102,6 +115,9 @@ def _resolve_lam(m: int, lam: float | None, G: float | None, n_classes: int,
         raise ValueError("give exactly one of lam or G")
     if lam is not None:
         return lam
+    _check_holding_mean(holding_mean)
+    if not math.isfinite(G):
+        raise ValueError(f"G must be finite, got {G}")
     return G * (1 << m) / (n_classes * holding_mean)
 
 
@@ -122,8 +138,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.warmup_time < 0 or not self.measure_time > 0:
-            raise ValueError("need warmup_time >= 0 and measure_time > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.warmup_time) and self.warmup_time >= 0
+                and math.isfinite(self.measure_time) and self.measure_time > 0):
+            raise ValueError("need finite warmup_time >= 0 and measure_time > 0")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
 
@@ -333,11 +352,18 @@ def build_configs(doc: dict) -> list[SimConfig]:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        m = int(doc["m"])
-        seed = int(doc["seed"])
-    except KeyError as exc:
-        raise ValueError(f"config is missing required key {exc.args[0]!r}") from None
+
+    def integer(key: str) -> int:
+        if key not in doc:
+            raise ValueError(f"config is missing required key {key!r}")
+        value = doc[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+        return int(value)
+
+    m = integer("m")
+    _check_m(m)
+    seed = integer("seed")
     holding = float(doc.get("holding_mean", 1.0))
 
     if "policies" in doc:
@@ -377,7 +403,7 @@ def build_configs(doc: dict) -> list[SimConfig]:
         if key in doc:
             kwargs[key] = float(doc[key])
     if "replications" in doc:
-        kwargs["replications"] = int(doc["replications"])
+        kwargs["replications"] = integer("replications")
 
     return [
         SimConfig(traffic=make_traffic(float(x)), policy=str(pol), seed=seed, **kwargs)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .allocator import MIN_SMALL_CHANGE, RANDOM, BinState, Request, admit, release
-from .mapping import AlignedRange, RadixScheme
+from .allocator import MIN_SMALL_CHANGE, RANDOM, BinState, Request, admit, place, release
+from .mapping import RadixScheme
 
 FINE_ENUM_CAP = 4
 REACHABLE_CAP = 3
@@ -125,25 +125,30 @@ def enumerate_super(m: int) -> int:
 
 
 def state_tree(state: BinState) -> str:
-    """Encode a BinState as a state tree (blocked bins count as occupied)."""
+    """Encode a BinState as a state tree (blocked bins count as occupied).
+
+    A node is free iff it is a maximal free block, because the free
+    lists hold exactly the maximal free blocks and the encoding stops at
+    the first free ancestor.
+    """
     scheme = state.scheme
     if not scheme.is_power_of_two:
         raise ValueError("state trees are defined for power-of-two bands")
     held = {r.start: r.size for ranges in state.groups.values() for r in ranges}
     for b in state.blocked:
         held[b] = 1
-    occ = state.occupancy
+    free = state.free
 
-    def enc(start: int, size: int) -> str:
-        mask = ((1 << size) - 1) << start
-        if occ & mask == 0:
+    def enc(start: int, level: int) -> str:
+        if start in free[level]:
             return FREE
+        size = 1 << level
         if held.get(start) == size:
             return OCCUPIED
         half = size // 2
-        return f"({enc(start, half)}{enc(start + half, half)})"
+        return f"({enc(start, level - 1)}{enc(start + half, level - 1)})"
 
-    return enc(0, scheme.size)
+    return enc(0, scheme.levels)
 
 
 @dataclass(frozen=True)
@@ -153,13 +158,6 @@ class ReachabilityReport:
     total: int
     arrival_reachable: frozenset[str]
     departure_only: frozenset[str]
-
-
-def _place_exact(state: BinState, rid: int, start: int, size: int) -> None:
-    state._carve(start, state.scheme.level_of(size))
-    state.groups[rid] = (AlignedRange(start, size),)
-    state.occupancy |= ((1 << size) - 1) << start
-    state.free_count -= size
 
 
 def _arrival_successors(state: BinState, policy: str) -> list[BinState]:
@@ -173,21 +171,22 @@ def _arrival_successors(state: BinState, policy: str) -> list[BinState]:
             if admit(nxt, Request(rid, 1 << n), MIN_SMALL_CHANGE).granted:
                 out.append(nxt)
     elif policy == RANDOM:
-        occ = state.occupancy
+        free = state.free
         for n in range(m + 1):
             size = 1 << n
-            if state.free[n]:
-                starts = sorted(state.free[n])
+            if free[n]:
+                starts = sorted(free[n])
             else:
-                mask = (1 << size) - 1
-                starts = [
-                    start
-                    for start in range(0, state.scheme.size, size)
-                    if occ & (mask << start) == 0
-                ]
+                # every aligned free block of this size inside a larger free block
+                starts = sorted(
+                    start + k * size
+                    for j in range(n + 1, m + 1)
+                    for start in free[j]
+                    for k in range(1 << (j - n))
+                )
             for start in starts:
                 nxt = state.clone()
-                _place_exact(nxt, rid, start, size)
+                place(nxt, Request(rid, size), start)
                 out.append(nxt)
     else:
         raise ValueError(f"unknown admission policy {policy!r}")

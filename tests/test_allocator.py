@@ -19,7 +19,7 @@ from ifdma.allocator import (
     check_consistency,
     dcr_state,
     free_subsets,
-    partition_multistream,
+    place,
     release,
 )
 from ifdma.mapping import AlignedRange, RadixScheme
@@ -236,14 +236,12 @@ class TestDcr:
 
 class TestMultistream:
     def test_partition_examples(self):
-        assert partition_multistream(7, M8) == (4, 2, 1)
-        assert partition_multistream(8, M8) == (8,)
-        assert partition_multistream(5, M16) == (4, 1)
-        assert partition_multistream(11, M223) == (6, 3, 1, 1)
-        with pytest.raises(ValueError):
-            partition_multistream(0, M8)
-        with pytest.raises(ValueError):
-            partition_multistream(9, M8)
+        # on a clean band the gather takes the fewest allowed blocks
+        for size, scheme, parts in ((7, M8, (4, 2, 1)), (8, M8, (8,)),
+                                    (5, M16, (4, 1)), (11, M223, (6, 3, 1, 1))):
+            out = admit_multistream(BinState(scheme), Request(0, size))
+            got = sorted((r.size for r in out.allocation.ranges), reverse=True)
+            assert tuple(got) == parts
 
     def test_gather_on_clean_band(self):
         state = BinState(M8)
@@ -281,6 +279,31 @@ class TestMultistream:
             admit_multistream(BinState(M8), Request(0, 0))
         with pytest.raises(ValueError):
             admit_multistream(BinState(M8), Request(0, 9))
+
+
+class TestPlace:
+    def test_carves_the_given_block(self):
+        state = BinState(M8)
+        alloc = place(state, Request(0, 2), 4)
+        assert alloc.ranges == (AlignedRange(4, 2),)
+        assert free_subsets(state) == [AlignedRange(0, 4), AlignedRange(6, 2)]
+        assert state.free_count == 6
+        check_consistency(state)
+        alloc = place(BinState(M223), Request(0, 3), 9)
+        assert alloc.ranges == (AlignedRange(9, 3),)
+
+    def test_rejects_bad_placements(self):
+        state = BinState(M8)
+        place(state, Request(0, 2), 4)
+        with pytest.raises(ValueError):
+            place(state, Request(1, 1), 5)       # held
+        with pytest.raises(ValueError):
+            place(state, Request(1, 2), 1)       # misaligned
+        with pytest.raises(ValueError):
+            place(state, Request(1, 3), 0)       # not an allowed size
+        with pytest.raises(ValueError):
+            place(state, Request(0, 1), 0)       # id already active
+        check_consistency(state)
 
 
 class TestIdLifecycle:

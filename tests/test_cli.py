@@ -250,6 +250,23 @@ class TestSim:
         assert code == 2
         assert "bad config" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("holding_mean", 0),
+        ("seed", -1),
+        ("G", float("nan")),
+        ("measure_time", float("inf")),
+        ("m", 21),
+    ])
+    def test_bad_value_is_a_one_line_usage_error(self, capsys, tmp_path, key, value):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        cfg = self.write_config(tmp_path, dict(self.CONFIG, **{key: value}))
+        code, _, err = run_cli(capsys, "sim", "--config", str(cfg),
+                               "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("error: bad config:")
+        assert err.count("\n") == 1
+        assert key in err
+
 
 class TestStates:
     def test_fine_agreement(self, capsys):

@@ -7,7 +7,6 @@ from ifdma.mapping import (
     AlignedRange,
     MAX_BAND,
     RadixScheme,
-    allowed_sizes,
     bin_digits,
     bin_for_subcarrier,
     bit_reverse,
@@ -75,7 +74,6 @@ class TestRadixScheme:
         s = RadixScheme.power_of_two(3)
         assert s.size == 8
         assert s.block_sizes == (1, 2, 4, 8)
-        assert allowed_sizes(s) == (1, 2, 4, 8)
         assert s.is_power_of_two
 
     def test_composite_sizes(self):

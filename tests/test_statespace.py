@@ -1,6 +1,7 @@
 """State-tree enumeration: recurrences, canonical forms, reachability."""
 
 import re
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from ifdma.allocator import (
     BinState,
     Request,
     admit,
+    admit_multistream,
+    check_consistency,
     dcr_state,
     release,
 )
@@ -26,6 +29,7 @@ from ifdma.statespace import (
     g_rec,
     reachable_states,
     state_tree,
+    _arrival_successors,
 )
 
 FINE_COUNTS = {0: 2, 1: 5, 2: 26, 3: 677, 4: 458330}
@@ -204,3 +208,86 @@ class TestReachability:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             reachable_states(2, "first_fit")
+
+
+# -- reference model ----------------------------------------------------------
+# The encodings below rebuild a bitmap of held bins from groups plus blocked
+# bins and scan it, independently of the free lists the library reads.
+
+
+def held_bitmap(state: BinState) -> int:
+    occ = 0
+    for ranges in state.groups.values():
+        for r in ranges:
+            occ |= ((1 << r.size) - 1) << r.start
+    for b in state.blocked:
+        occ |= 1 << b
+    return occ
+
+
+def reference_tree(state: BinState) -> str:
+    occ = held_bitmap(state)
+    held = {r.start: r.size for ranges in state.groups.values() for r in ranges}
+    for b in state.blocked:
+        held[b] = 1
+
+    def enc(start: int, size: int) -> str:
+        if occ & (((1 << size) - 1) << start) == 0:
+            return "F"
+        if held.get(start) == size:
+            return "O"
+        half = size // 2
+        return f"({enc(start, half)}{enc(start + half, half)})"
+
+    return enc(0, state.scheme.size)
+
+
+def reference_random_starts(state: BinState) -> list[tuple[int, int]]:
+    """(size, start) of every random-policy placement, exact-size blocks first."""
+    occ = held_bitmap(state)
+    out = []
+    for n in range(state.scheme.levels + 1):
+        size = 1 << n
+        if state.free[n]:
+            starts = sorted(state.free[n])
+        else:
+            mask = (1 << size) - 1
+            starts = [start for start in range(0, state.scheme.size, size)
+                      if occ & (mask << start) == 0]
+        out += [(size, start) for start in starts]
+    return out
+
+
+def random_starts(state: BinState) -> list[tuple[int, int]]:
+    rid = max(state.groups, default=-1) + 1
+    return [(nxt.groups[rid][0].size, nxt.groups[rid][0].start)
+            for nxt in _arrival_successors(state, RANDOM)]
+
+
+@given(
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from(("min", "random", "multi", "release")),
+                       st.integers(0, 63)), max_size=30),
+)
+@settings(max_examples=120, deadline=None)
+def test_free_list_readers_match_bitmap_reference(m, dc, seed, ops):
+    scheme = RadixScheme.power_of_two(m)
+    state = dcr_state(scheme, 0) if dc else BinState(scheme)
+    rng = Random(seed)
+    next_id = 0
+    for kind, arg in ops:
+        if kind == "release":
+            if state.groups:
+                release(state, sorted(state.groups)[arg % len(state.groups)])
+        else:
+            if kind == "multi":
+                out = admit_multistream(state, Request(next_id, arg % scheme.size + 1))
+            else:
+                policy = MIN_SMALL_CHANGE if kind == "min" else RANDOM
+                out = admit(state, Request(next_id, 1 << (arg % (m + 1))), policy, rng)
+            next_id += out.granted
+        check_consistency(state)
+        assert state_tree(state) == reference_tree(state)
+        assert random_starts(state) == reference_random_starts(state)
