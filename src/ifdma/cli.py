@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .allocator import (
     dcr_state,
 )
 from .mapping import RadixScheme, bin_digits, digit_reverse
-from .sim import build_configs, sweep, write_csv
+from .sim import CSV_COLUMNS, build_configs, csv_row, sweep, write_csv
 from .statespace import (
     FINE_ENUM_CAP,
     REACHABLE_CAP,
@@ -52,7 +52,9 @@ EXIT_BLOCKED = 3
 EQUIV_TOL = 1e-9
 ENVELOPE_TOL = 1e-12
 
-_POLICY_FLAGS = {"sort-first": SORT_FIRST, "min-small-change": MIN_SMALL_CHANGE}
+# Largest m whose recurrence value prints: f(13) and g(14) have 2,899 and
+# 3,131 digits; f(14) and g(15) pass Python's 4,300-digit int-to-str limit.
+_RECURRENCE_CAP = {"fine": 13, "super": 14}
 
 
 def _fail(message: str) -> int:
@@ -60,8 +62,16 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args: argparse.Namespace, payload, text: Callable[[], str],
+          code: int = EXIT_OK) -> int:
+    """Print the canonical JSON document under --json, else the text form."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text())
+    return code
+
+
+def _policy(flag: str) -> str:
+    """The library name of a --policy value: dashes become underscores."""
+    return flag.replace("-", "_")
 
 
 def _scheme_from(args: argparse.Namespace) -> RadixScheme:
@@ -84,11 +94,11 @@ def _digit_str(digits: tuple[int, ...]) -> str:
     return "".join(str(d) for d in digits)
 
 
-def _print_table(rows: list[dict], columns: list[str]) -> None:
+def _table(rows: list[dict], columns: list[str]) -> str:
     table = [list(columns)] + [[str(r[c]) for c in columns] for r in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(columns))]
-    for row in table:
-        print("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip())
+    return "\n".join("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip()
+                     for row in table)
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -110,11 +120,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             "reversal": _digit_str(digits[::-1]),
             "subcarrier": digit_reverse(k, scheme),
         })
-    if args.json:
-        _emit_json(rows)
-    else:
-        _print_table(rows, ["bin", "digits", "reversal", "subcarrier"])
-    return EXIT_OK
+    return _emit(args, rows, lambda: _table(rows, ["bin", "digits", "reversal", "subcarrier"]))
 
 
 # -- alloc -------------------------------------------------------------------
@@ -126,10 +132,12 @@ def _parse_requests(spec: str) -> list[tuple[str, int]]:
             data = json.load(fh)
         if isinstance(data, dict):
             items = [(str(name), size) for name, size in data.items()]
-        elif isinstance(data, list):
+        elif isinstance(data, list) and all(
+                isinstance(d, dict) and {"name", "size"} <= d.keys() for d in data):
             items = [(str(d["name"]), d["size"]) for d in data]
         else:
-            raise ValueError("requests file must hold an object or a list")
+            raise ValueError('requests file must hold an object or a list of '
+                             '{"name": ..., "size": ...} records')
     else:
         items = []
         for part in spec.split(","):
@@ -142,7 +150,7 @@ def _parse_requests(spec: str) -> list[tuple[str, int]]:
     if len(set(names)) != len(names):
         raise ValueError("request names must be unique")
     for name, size in items:
-        if not isinstance(size, int) or size < 1:
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise ValueError(f"request {name!r} needs a positive integer size")
     return items
 
@@ -158,70 +166,49 @@ def cmd_alloc(args: argparse.Namespace) -> int:
     try:
         scheme = _scheme_from(args)
         items = _parse_requests(args.requests)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
-    policy = _POLICY_FLAGS[args.policy] if args.policy else None
     if args.multistream and args.policy:
         return _fail("--multistream gathers blocks itself; drop --policy")
-    if args.dc is not None:
-        if policy == SORT_FIRST:
-            return _fail("sort-first packs a clean band; use min-small-change with --dc")
-        if policy is None:
-            policy = MIN_SMALL_CHANGE
-    elif policy is None:
-        policy = SORT_FIRST
+    if args.policy:
+        policy = _policy(args.policy)
+    else:  # a band with a reserved bin is not clean, which sort-first needs
+        policy = SORT_FIRST if args.dc is None else MIN_SMALL_CHANGE
+    if args.dc is not None and policy == SORT_FIRST:
+        return _fail("sort-first packs a clean band; use min-small-change with --dc")
 
+    requests = [Request(i, size) for i, (_, size) in enumerate(items)]
     try:
         if args.dc is not None:
             state = dcr_state(scheme, args.dc)
         else:
             state = BinState(scheme)
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    requests = [Request(i, size) for i, (_, size) in enumerate(items)]
-    try:
         if args.multistream:
             allocations = []
             for req in requests:
                 outcome = admit_multistream(state, req)
                 if not outcome.granted:
-                    print(
-                        f"error: request {items[req.id][0]!r} of size {req.size} "
-                        f"blocked ({outcome.status.value})",
-                        file=sys.stderr,
-                    )
-                    return EXIT_BLOCKED
+                    raise BatchRejected(f"request {items[req.id][0]!r} of size {req.size} "
+                                        f"blocked ({outcome.status.value})")
                 allocations.append(outcome.allocation)
         else:
             allocations = allocate_batch_sync(requests, policy, state=state)
     except BatchRejected as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _fail(str(exc))
         return EXIT_BLOCKED
     except ValueError as exc:
         return _fail(str(exc))
 
-    rows = []
-    for (name, size), alloc in zip(items, allocations):
-        subs = sorted(alloc.subcarriers)
-        rows.append({
-            "name": name,
-            "size": size,
-            "bins": _range_str(alloc.ranges),
-            "subcarriers": ",".join(str(s) for s in subs),
-            "_bins_list": sorted(b for r in alloc.ranges for b in r.bins()),
-            "_subs_list": subs,
-        })
-    if args.json:
-        _emit_json([
-            {"name": r["name"], "size": r["size"], "bins": r["_bins_list"],
-             "subcarriers": r["_subs_list"]}
-            for r in rows
-        ])
-    else:
-        _print_table(rows, ["name", "size", "bins", "subcarriers"])
-    return EXIT_OK
+    rows = [{"name": name, "size": size,
+             "bins": sorted(b for r in alloc.ranges for b in r.bins()),
+             "subcarriers": sorted(alloc.subcarriers)}
+            for (name, size), alloc in zip(items, allocations)]
+    return _emit(args, rows, lambda: _table(
+        [dict(row, bins=_range_str(alloc.ranges),
+              subcarriers=",".join(str(s) for s in row["subcarriers"]))
+         for row, alloc in zip(rows, allocations)],
+        ["name", "size", "bins", "subcarriers"]))
 
 
 # -- sim ---------------------------------------------------------------------
@@ -245,22 +232,12 @@ def cmd_sim(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}")
 
-    if args.json:
-        _emit_json([
-            {"policy": mt.policy, "mix": mt.mix, "G": mt.G, "P_B": mt.P_B,
-             "P_B_ci": mt.P_B_ci, "P_f": mt.P_f, "P_f_ci": mt.P_f_ci, "S": mt.S,
-             "seed": mt.seed, "replications": mt.replications}
-            for mt in results
-        ])
-    else:
-        for mt in results:
-            print(
-                f"{mt.policy} {mt.mix} G={mt.G:g}: "
-                f"P_B={mt.P_B:.4f}±{mt.P_B_ci:.4f} "
-                f"P_f={mt.P_f:.4f}±{mt.P_f_ci:.4f} S={mt.S:.4f}"
-            )
-        print(f"wrote {len(results)} rows to {args.out}")
-    return EXIT_OK
+    def text() -> str:
+        lines = [f"{mt.policy} {mt.mix} G={mt.G:g}: P_B={mt.P_B:.4f}±{mt.P_B_ci:.4f} "
+                 f"P_f={mt.P_f:.4f}±{mt.P_f_ci:.4f} S={mt.S:.4f}" for mt in results]
+        return "\n".join(lines + [f"wrote {len(results)} rows to {args.out}"])
+
+    return _emit(args, [dict(zip(CSV_COLUMNS, csv_row(mt))) for mt in results], text)
 
 
 # -- states ------------------------------------------------------------------
@@ -271,52 +248,41 @@ def cmd_states(args: argparse.Namespace) -> int:
     if m < 0:
         return _fail(f"m must be >= 0, got {m}")
     payload: dict = {"m": m, "mode": mode}
-    if mode in ("fine", "super"):
-        try:
-            recurrence = f_rec(m) if mode == "fine" else g_rec(m)
-        except ValueError as exc:
-            return _fail(str(exc))
-        payload["recurrence"] = recurrence
-        if m <= FINE_ENUM_CAP:
-            count = enumerate_fine(m) if mode == "fine" else enumerate_super(m)
-            verdict = "AGREE" if count == recurrence else "DISAGREE"
-            payload.update(enumerated=count, verdict=verdict)
-            if args.json:
-                _emit_json(payload)
-            else:
-                print(f"{mode} states m={m}: recurrence {recurrence}, "
-                      f"enumerated {count} {verdict}")
-            return EXIT_OK if verdict == "AGREE" else EXIT_CHECK_FAILED
-        payload.update(enumerated=None, verdict="SKIPPED")
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"{mode} states m={m}: recurrence {recurrence} "
-                  f"(enumeration skipped above m={FINE_ENUM_CAP})")
-        return EXIT_OK
-    # reachable
-    if m > REACHABLE_CAP:
-        payload.update(total=None, verdict="SKIPPED")
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"reachable states m={m}: search skipped above m={REACHABLE_CAP}")
-        return EXIT_OK
-    policy = "random" if args.policy == "random" else MIN_SMALL_CHANGE
-    report = reachable_states(m, policy)
-    payload.update(
-        policy=policy,
-        total=report.total,
-        arrival_reachable=len(report.arrival_reachable),
-        departure_only=len(report.departure_only),
-    )
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"reachable states m={m} policy={policy}: total {report.total}, "
-              f"arrival-reachable {len(report.arrival_reachable)}, "
-              f"departure-only {len(report.departure_only)}")
-    return EXIT_OK
+    if mode == "reachable":
+        if m > REACHABLE_CAP:
+            payload.update(total=None, verdict="SKIPPED")
+            return _emit(args, payload, lambda: f"reachable states m={m}: "
+                                                f"search skipped above m={REACHABLE_CAP}")
+        policy = _policy(args.policy)
+        report = reachable_states(m, policy)
+        payload.update(
+            policy=policy,
+            total=report.total,
+            arrival_reachable=len(report.arrival_reachable),
+            departure_only=len(report.departure_only),
+        )
+        return _emit(args, payload, lambda: f"reachable states m={m} policy={policy}: "
+                                            f"total {payload['total']}, "
+                                            f"arrival-reachable {payload['arrival_reachable']}, "
+                                            f"departure-only {payload['departure_only']}")
+    if m > _RECURRENCE_CAP[mode]:
+        return _fail(f"--m {m} is above {_RECURRENCE_CAP[mode]}, the largest m whose "
+                     f"{mode} state count prints in under 4300 digits")
+    try:
+        recurrence = f_rec(m) if mode == "fine" else g_rec(m)
+    except ValueError as exc:
+        return _fail(str(exc))
+    payload["recurrence"] = recurrence
+    if m <= FINE_ENUM_CAP:
+        count = enumerate_fine(m) if mode == "fine" else enumerate_super(m)
+        verdict = "AGREE" if count == recurrence else "DISAGREE"
+        payload.update(enumerated=count, verdict=verdict)
+        return _emit(args, payload, lambda: f"{mode} states m={m}: recurrence {recurrence}, "
+                                            f"enumerated {count} {verdict}",
+                     EXIT_OK if verdict == "AGREE" else EXIT_CHECK_FAILED)
+    payload.update(enumerated=None, verdict="SKIPPED")
+    return _emit(args, payload, lambda: f"{mode} states m={m}: recurrence {recurrence} "
+                                        f"(enumeration skipped above m={FINE_ENUM_CAP})")
 
 
 # -- wave --------------------------------------------------------------------
@@ -334,40 +300,33 @@ def cmd_wave(args: argparse.Namespace) -> int:
     gen = np.random.default_rng(seed)
 
     checks: dict[str, dict] = {}
-    if args.check in ("equiv", "both"):
+    for name, tol in (("equiv", EQUIV_TOL), ("envelope", ENVELOPE_TOL)):
+        if args.check not in (name, "both"):
+            continue
         worst = 0.0
         for _ in range(args.blocks):
-            if args.psk:
+            if args.psk or name == "envelope":
                 symbols = np.exp(2j * np.pi * gen.random(n))
             else:
                 symbols = gen.standard_normal(n) + 1j * gen.standard_normal(n)
             spec = StreamSpec(symbols, m, d)
-            err = float(np.max(np.abs(stream_time(spec) - stream_freq_oracle(spec))))
-            worst = max(worst, err)
-        checks["equiv"] = {"max_error": worst, "threshold": EQUIV_TOL,
-                           "pass": worst < EQUIV_TOL}
-    if args.check in ("envelope", "both"):
-        target = n / m
-        worst = 0.0
-        for _ in range(args.blocks):
-            symbols = np.exp(2j * np.pi * gen.random(n))
-            spec = StreamSpec(symbols, m, d)
-            mags = np.abs(stream_time(spec))
-            worst = max(worst, float(np.max(np.abs(mags - target))))
-        checks["envelope"] = {"max_error": worst, "threshold": ENVELOPE_TOL,
-                              "pass": worst < ENVELOPE_TOL}
+            signal = stream_time(spec)
+            if name == "equiv":
+                err = signal - stream_freq_oracle(spec)
+            else:  # unit-modulus symbols give a constant envelope of n / m
+                err = np.abs(signal) - n / m
+            worst = max(worst, float(np.max(np.abs(err))))
+        checks[name] = {"max_error": worst, "threshold": tol, "pass": worst < tol}
+
+    def text() -> str:
+        return "\n".join([f"seed: {seed}"] + [
+            f"{name} max error = {c['max_error']:.3e}  {'PASS' if c['pass'] else 'FAIL'} "
+            f"(< {c['threshold']:g})" for name, c in checks.items()])
 
     ok = all(c["pass"] for c in checks.values())
-    if args.json:
-        _emit_json({"N": n, "M": m, "d": d, "seed": seed, "blocks": args.blocks,
-                    "checks": checks, "pass": ok})
-    else:
-        print(f"seed: {seed}")
-        for name, c in checks.items():
-            word = "PASS" if c["pass"] else "FAIL"
-            print(f"{name} max error = {c['max_error']:.3e}  {word} "
-                  f"(< {c['threshold']:g})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    payload = {"N": n, "M": m, "d": d, "seed": seed, "blocks": args.blocks,
+               "checks": checks, "pass": ok}
+    return _emit(args, payload, text, EXIT_OK if ok else EXIT_CHECK_FAILED)
 
 
 # -- parser ------------------------------------------------------------------
@@ -391,25 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("map", help="print the bin-to-subcarrier permutation")
     _add_scheme_flags(p)
     p.add_argument("--index", type=int, help="show a single bin row")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_map)
 
     p = subs.add_parser("alloc", help="place a batch of named requests")
     _add_scheme_flags(p)
     p.add_argument("--requests", required=True,
                    help="inline name:size list (A:1,B:4) or @file.json")
-    p.add_argument("--policy", choices=sorted(_POLICY_FLAGS))
+    p.add_argument("--policy", choices=("min-small-change", "sort-first"))
     p.add_argument("--dc", type=int, metavar="SUBCARRIER",
                    help="pre-block the bin that maps to this subcarrier")
     p.add_argument("--multistream", action="store_true",
                    help="serve arbitrary sizes by gathering several blocks")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_alloc)
 
     p = subs.add_parser("sim", help="run a blocking-probability sweep")
     p.add_argument("--config", required=True, help="JSON config document")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sim)
 
     p = subs.add_parser("states", help="count Markov states")
@@ -418,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("min-small-change", "random"),
                    default="min-small-change",
                    help="admission policy for --mode reachable")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_states)
 
     p = subs.add_parser("wave", help="cross-check waveform synthesis")
@@ -430,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use unit-modulus symbols for the equivalence check too")
     p.add_argument("--blocks", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wave)
 
+    for p in subs.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -10,7 +10,7 @@ bin-load, so the normalized offered load is
 
 Four admission policies are simulated: the two single-stream bin-filling
 policies (``min_small_change``, ``random``), ``multistream`` gathering,
-and an ``ofdma`` reference that tracks only a free-bin counter (any
+and an ``ofdma`` reference that tracks only a busy-bin counter (any
 subcarrier may go to any user, so it blocks exactly when fewer bins are
 free than requested and never on fragmentation).
 
@@ -35,6 +35,7 @@ import numpy as np
 from .allocator import (
     MIN_SMALL_CHANGE,
     RANDOM,
+    AdmissionStatus,
     BinState,
     Request,
     admit,
@@ -94,31 +95,32 @@ class TrafficModel:
     def full_mix(cls, m: int, *, lam: float | None = None, G: float | None = None,
                  holding_mean: float = 1.0) -> "TrafficModel":
         """All classes 0..m; give either lam or the normalized offered load G."""
-        _check_m(m)
-        classes = tuple(range(m + 1))
-        lam = _resolve_lam(m, lam, G, len(classes), holding_mean)
-        return cls(m, lam, classes, holding_mean, mix="full")
+        return _traffic(m, _MIX_CLASSES["full"](m), "full", holding_mean, lam, G)
 
     @classmethod
     def limited_mix(cls, m: int, *, lam: float | None = None, G: float | None = None,
                     holding_mean: float = 1.0) -> "TrafficModel":
         """Classes 0..m//2 only (no request larger than sqrt of the band)."""
-        _check_m(m)
-        classes = tuple(range(m // 2 + 1))
-        lam = _resolve_lam(m, lam, G, len(classes), holding_mean)
-        return cls(m, lam, classes, holding_mean, mix="limited")
+        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", holding_mean, lam, G)
 
 
-def _resolve_lam(m: int, lam: float | None, G: float | None, n_classes: int,
-                 holding_mean: float) -> float:
+# size classes of each named mix; a range, so that a huge m is rejected
+# before any per-class tuple is built
+_MIX_CLASSES = {"full": lambda m: range(m + 1), "limited": lambda m: range(m // 2 + 1)}
+
+
+def _traffic(m: int, classes: Sequence[int], mix: str, holding_mean: float,
+             lam: float | None = None, G: float | None = None) -> TrafficModel:
+    """A TrafficModel from exactly one of lam and the normalized load G."""
+    _check_m(m)
     if (lam is None) == (G is None):
         raise ValueError("give exactly one of lam or G")
-    if lam is not None:
-        return lam
-    _check_holding_mean(holding_mean)
-    if not math.isfinite(G):
-        raise ValueError(f"G must be finite, got {G}")
-    return G * (1 << m) / (n_classes * holding_mean)
+    if G is not None:
+        _check_holding_mean(holding_mean)
+        if not math.isfinite(G):
+            raise ValueError(f"G must be finite, got {G}")
+        lam = G * (1 << m) / (len(classes) * holding_mean)
+    return TrafficModel(m, lam, tuple(classes), holding_mean, mix)
 
 
 def offered_load(traffic: TrafficModel) -> float:
@@ -224,7 +226,6 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
     r = [0] * (m + 1)
     r_blocked = [0] * (m + 1)
     r_frag = [0] * (m + 1)
-    free = band
     occupied = 0
     occ_area = 0.0
     prev_t = warm
@@ -245,9 +246,7 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
                     occ_area += occupied * (dep_t - prev_t)
                     prev_t = dep_t
                 occupied -= sz
-                if ofdma:
-                    free += sz
-                else:
+                if not ofdma:
                     release(state, rid)
             n = ns[i]
             size = 1 << n
@@ -255,13 +254,13 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
             if counted:
                 r[n] += 1
             if ofdma:
-                granted = free >= size
-                if granted:
-                    free -= size
-            elif multistream:
-                granted = admit_multistream(state, Request(base + i, size)).granted
+                granted = occupied + size <= band
             else:
-                granted = admit(state, Request(base + i, size), policy, adm_rng).granted
+                if multistream:
+                    outcome = admit_multistream(state, Request(base + i, size))
+                else:
+                    outcome = admit(state, Request(base + i, size), policy, adm_rng)
+                granted = outcome.granted
             if granted:
                 if t > prev_t:
                     occ_area += occupied * (t - prev_t)
@@ -270,8 +269,7 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
                 push(heap, (t + hs[i], base + i, size))
             elif counted:
                 r_blocked[n] += 1
-                free_now = free if ofdma else state.free_count
-                if free_now >= size:
+                if not ofdma and outcome.status is AdmissionStatus.BLOCKED_FRAGMENTATION:
                     r_frag[n] += 1
     if horizon > prev_t:
         occ_area += occupied * (horizon - prev_t)
@@ -342,8 +340,9 @@ def build_configs(doc: dict) -> list[SimConfig]:
 
     Expected keys: m (int); mix ("full" | "limited") or classes (list of
     ints); G (number or list) or lam (number or list); policies (list) or
-    policy (str); seed; and optional warmup_time, measure_time,
-    replications, holding_mean.
+    policy (str); seed (int); and optional warmup_time, measure_time,
+    replications (int), holding_mean.  An integral float counts as an
+    int, a bool or string is never a number, and no list may be empty.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
@@ -353,21 +352,32 @@ def build_configs(doc: dict) -> list[SimConfig]:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def integer(key: str) -> int:
+    def number(key: str, value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        return float(value)
+
+    def integer(key: str, value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return value
+
+    def nonempty(key: str, value) -> list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{key} must be a non-empty list, got {value!r}")
+        return value
+
+    for key in ("m", "seed"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
-        value = doc[key]
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
-        return int(value)
-
-    m = integer("m")
-    _check_m(m)
-    seed = integer("seed")
-    holding = float(doc.get("holding_mean", 1.0))
+    m = integer("m", doc["m"])
+    seed = integer("seed", doc["seed"])
+    holding = number("holding_mean", doc.get("holding_mean", 1.0))
 
     if "policies" in doc:
-        policies = list(doc["policies"])
+        policies = nonempty("policies", doc["policies"])
     elif "policy" in doc:
         policies = [doc["policy"]]
     else:
@@ -375,47 +385,41 @@ def build_configs(doc: dict) -> list[SimConfig]:
 
     if ("G" in doc) == ("lam" in doc):
         raise ValueError("give exactly one of 'G' or 'lam'")
-    loads = doc.get("G", doc.get("lam"))
-    if not isinstance(loads, (list, tuple)):
-        loads = [loads]
-    by_G = "G" in doc
+    load_key = "G" if "G" in doc else "lam"
+    loads = doc[load_key]
+    loads = nonempty(load_key, loads) if isinstance(loads, (list, tuple)) else [loads]
 
     if "classes" in doc:
         if "mix" in doc:
             raise ValueError("give 'mix' or 'classes', not both")
-        classes = tuple(int(n) for n in doc["classes"])
-
-        def make_traffic(x: float) -> TrafficModel:
-            lam = x if not by_G else _resolve_lam(m, None, x, len(classes), holding)
-            return TrafficModel(m, lam, classes, holding)
+        mix = "custom"
+        classes = [integer("classes", n) for n in nonempty("classes", doc["classes"])]
     else:
         mix = doc.get("mix", "full")
-        if mix not in ("full", "limited"):
+        if mix not in _MIX_CLASSES:
             raise ValueError(f"mix must be 'full' or 'limited', got {mix!r}")
-        factory = TrafficModel.full_mix if mix == "full" else TrafficModel.limited_mix
-
-        def make_traffic(x: float) -> TrafficModel:
-            return factory(m, G=x, holding_mean=holding) if by_G else \
-                factory(m, lam=x, holding_mean=holding)
+        classes = _MIX_CLASSES[mix](m)
 
     kwargs = {}
     for key in ("warmup_time", "measure_time"):
         if key in doc:
-            kwargs[key] = float(doc[key])
+            kwargs[key] = number(key, doc[key])
     if "replications" in doc:
-        kwargs["replications"] = integer("replications")
+        kwargs["replications"] = integer("replications", doc["replications"])
 
-    return [
-        SimConfig(traffic=make_traffic(float(x)), policy=str(pol), seed=seed, **kwargs)
-        for pol in policies
-        for x in loads
-    ]
+    traffics = [_traffic(m, classes, mix, holding, **{load_key: number(load_key, x)})
+                for x in loads]
+    return [SimConfig(traffic=t, policy=str(pol), seed=seed, **kwargs)
+            for pol in policies for t in traffics]
 
 
 def write_csv(metrics: Iterable[SimMetrics], out: TextIO) -> None:
     """Write the contractual result table: one row per config."""
     w = csv.writer(out, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
-    for mt in metrics:
-        w.writerow([mt.policy, mt.mix, mt.G, mt.P_B, mt.P_B_ci,
-                    mt.P_f, mt.P_f_ci, mt.S, mt.seed, mt.replications])
+    w.writerows(csv_row(mt) for mt in metrics)
+
+
+def csv_row(mt: SimMetrics) -> tuple:
+    """The values of one result in CSV_COLUMNS order."""
+    return tuple(getattr(mt, column) for column in CSV_COLUMNS)

@@ -3,6 +3,7 @@ canonicalization, and the stable exit codes (0 ok, 1 failed numeric check,
 2 usage, 3 blocked)."""
 
 import json
+import time
 
 import pytest
 
@@ -167,6 +168,23 @@ class TestAlloc:
         assert code == 0
         assert out.splitlines()[1].split()[0] == "A"
 
+    @pytest.mark.parametrize("data, complaint", [
+        ([1, 2], "records"),
+        ([{"name": "A"}], "records"),
+        ([{"size": 2}], "records"),
+        ({"A": True}, "positive integer size"),
+        ([{"name": "A", "size": True}], "positive integer size"),
+        ({"A": 1.0}, "positive integer size"),
+    ])
+    def test_requests_from_bad_json_file(self, capsys, tmp_path, data, complaint):
+        path = tmp_path / "reqs.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "alloc", "--m", "3", "--requests", f"@{path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and complaint in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("spec", ["A:1,A:2", "A", "A:0", "A:-2", ":3"])
     def test_malformed_requests(self, capsys, spec):
         code, _, err = run_cli(capsys, "alloc", "--m", "3", "--requests", spec)
@@ -256,10 +274,26 @@ class TestSim:
         ("G", float("nan")),
         ("measure_time", float("inf")),
         ("m", 21),
+        ("m", 2.7),
+        ("seed", 1.9),
+        ("replications", 2.5),
+        ("m", True),
+        ("m", "3"),
+        ("classes", [0, 1.5]),
+        ("classes", []),
+        ("G", "0.5"),
+        ("G", []),
+        ("G", [0.5, False]),
+        ("holding_mean", True),
+        ("warmup_time", "10"),
+        ("policies", []),
     ])
     def test_bad_value_is_a_one_line_usage_error(self, capsys, tmp_path, key, value):
         # json.dumps writes NaN and Infinity, which json.load reads back
-        cfg = self.write_config(tmp_path, dict(self.CONFIG, **{key: value}))
+        doc = dict(self.CONFIG, **{key: value})
+        if key == "classes":  # classes replace the mix
+            del doc["mix"]
+        cfg = self.write_config(tmp_path, doc)
         code, _, err = run_cli(capsys, "sim", "--config", str(cfg),
                                "--out", str(tmp_path / "o.csv"))
         assert code == 2
@@ -302,6 +336,22 @@ class TestStates:
         code, out, _ = run_cli(capsys, "states", "--m", "5", "--mode", "reachable")
         assert code == 0
         assert "skipped" in out
+
+    @pytest.mark.parametrize("argv", [["--m", "14"], ["--m", "15", "--mode", "super"],
+                                      ["--m", "40"]])
+    def test_recurrence_too_long_to_print_is_a_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "states", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--m", "13"], ["--m", "14", "--mode", "super"]])
+    def test_largest_printable_recurrence(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "states", *argv)
+        assert code == 0
+        assert "recurrence" in out and "skipped" in out
 
     def test_super_rejects_empty_band(self, capsys):
         code, _, err = run_cli(capsys, "states", "--m", "0", "--mode", "super")

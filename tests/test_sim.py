@@ -249,6 +249,14 @@ class TestBuildConfigs:
         assert cfg.replications == 2
         assert cfg.traffic.holding_mean == 2.0
 
+    def test_integral_floats_count_as_ints(self):
+        doc = dict(self.BASE, m=3.0, seed=42.0, replications=2.0, classes=[0.0, 2.0])
+        del doc["mix"]
+        cfg = build_configs(doc)[0]
+        assert (cfg.traffic.m, cfg.seed, cfg.replications) == (3, 42, 2)
+        assert cfg.traffic.classes == (0, 2)
+        assert all(type(x) is int for x in (cfg.traffic.m, cfg.seed, cfg.replications))
+
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("m"),
         lambda d: d.pop("seed"),
