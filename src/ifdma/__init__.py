@@ -39,10 +39,6 @@ from .mapping import (
     validate_range,
 )
 from .nonblocking import (
-    LoadVector,
-    dcr_load_ok,
-    full_load_ok,
-    strict_ok,
     strict_threshold,
     worst_case_scenario,
 )
@@ -58,14 +54,12 @@ from .sim import (
     csv_row,
     offered_load,
     run,
-    sweep,
     write_csv,
 )
 from .statespace import (
     FINE_ENUM_CAP,
     REACHABLE_CAP,
     ReachabilityReport,
-    canonical_form,
     enumerate_fine,
     enumerate_super,
     f_rec,
@@ -93,7 +87,6 @@ __all__ = [
     "BinState",
     "CSV_COLUMNS",
     "FINE_ENUM_CAP",
-    "LoadVector",
     "MIN_SMALL_CHANGE",
     "MULTISTREAM",
     "OFDMA",
@@ -115,10 +108,8 @@ __all__ = [
     "bin_for_subcarrier",
     "bit_reverse",
     "build_configs",
-    "canonical_form",
     "check_consistency",
     "csv_row",
-    "dcr_load_ok",
     "dcr_state",
     "digit_reverse",
     "enumerate_fine",
@@ -126,7 +117,6 @@ __all__ = [
     "f_rec",
     "fine_states",
     "free_subsets",
-    "full_load_ok",
     "g_rec",
     "multistream_time",
     "offered_load",
@@ -139,10 +129,8 @@ __all__ = [
     "state_tree",
     "stream_freq_oracle",
     "stream_time",
-    "strict_ok",
     "strict_threshold",
     "subcarrier_shift",
-    "sweep",
     "validate_range",
     "worst_case_scenario",
     "write_csv",

@@ -23,9 +23,9 @@ Admission policies for a single request of an allowed size:
   down with a uniform child choice at every level.
 
 ``place`` grants a request one given free aligned block.
-``allocate_batch_sync`` packs a whole batch into a clean band, either
-sort-first (descending size, left to right, through ``place``) or by
-repeated ``min_small_change`` admissions in arrival order.
+``allocate_batch_sync`` admits a whole batch through ``min_small_change``,
+either in arrival order or, for ``sort_first``, on a clean band in
+descending size order, which packs the band left to right.
 ``admit_multistream`` serves a request of arbitrary size by gathering
 several allowed-size blocks, so it never blocks on fragmentation.
 """
@@ -87,7 +87,7 @@ class AdmissionOutcome:
 
     @property
     def granted(self) -> bool:
-        return self.status is AdmissionStatus.GRANTED
+        return self.allocation is not None  # only a grant carries an allocation
 
 
 _BLOCKED_OVERLOAD = AdmissionOutcome(AdmissionStatus.BLOCKED_OVERLOAD)
@@ -210,22 +210,10 @@ class BinState:
                 start = sorted(fs)[rng.randrange(len(fs))]
             fs.discard(start)
             return start
-        counts = []
-        total = 0
-        for j in range(n + 1, self._top + 1):
-            c = len(free[j])
-            counts.append(c)
-            total += c
-        if total == 0:
+        pooled = [(j, b) for j in range(n + 1, self._top + 1) for b in sorted(free[j])]
+        if not pooled:
             return None
-        r = rng.randrange(total)
-        j = n + 1
-        for c in counts:
-            if r < c:
-                break
-            r -= c
-            j += 1
-        block = sorted(free[j])[r]
+        j, block = pooled[rng.randrange(len(pooled))]
         free[j].discard(block)
         # draw the child of every level top-down first: that is the RNG draw order
         sizes = self._sizes
@@ -344,14 +332,17 @@ def allocate_batch_sync(
     *,
     state: BinState | None = None,
 ) -> list[Allocation]:
-    """Place a whole batch on a clean band; returns allocations in input order.
+    """Place a whole batch; returns allocations in input order.
 
-    With sort_first the batch is sorted descending by size (ties by id) and
-    packed left to right through ``place``, which requires a band with no
-    bin in use.
-    With min_small_change the requests are admitted in list order, which
-    also works on a band holding blocked bins.  A batch whose total size
-    exceeds the free capacity raises BatchRejected.
+    Both policies admit every request through ``min_small_change``.
+    ``min_small_change`` admits in list order, which also works on a band
+    holding blocked bins.  ``sort_first`` needs a band with no bin in use
+    and admits in descending size order (ties by id).  That order packs
+    the band left to right: once the larger requests fill [0, pos), pos
+    is a multiple of the next size and the maximal free blocks grow from
+    left to right, so the smallest adequate block with the lowest start
+    is the one at pos.  A batch whose total size exceeds the free
+    capacity raises BatchRejected.
     """
     if (scheme is None) == (state is None):
         raise ValueError("provide exactly one of scheme or state")
@@ -369,26 +360,23 @@ def allocate_batch_sync(
             f"batch needs {total} bins but only {state.free_count} of "
             f"{state.scheme.size} are free"
         )
-    out: dict[int, Allocation] = {}
     if policy == SORT_FIRST:
         if state.free_count != state.scheme.size:
             raise ValueError("sort_first packs a clean band and cannot honour bins in use")
-        pos = 0
-        for req in sorted(requests, key=lambda r: (-r.size, r.id)):
-            out[req.id] = place(state, req, pos)
-            pos += req.size
+        order = sorted(requests, key=lambda r: (-r.size, r.id))
     elif policy == MIN_SMALL_CHANGE:
-        for req in requests:
-            outcome = admit(state, req, MIN_SMALL_CHANGE)
-            if not outcome.granted:
-                raise BatchRejected(
-                    f"request {req.id} of size {req.size} blocked "
-                    f"({outcome.status.value}) despite capacity check"
-                )
-            assert outcome.allocation is not None
-            out[req.id] = outcome.allocation
+        order = requests
     else:
         raise ValueError(f"unknown batch policy {policy!r}")
+    out: dict[int, Allocation] = {}
+    for req in order:
+        outcome = admit(state, req, MIN_SMALL_CHANGE)
+        if outcome.allocation is None:
+            raise BatchRejected(
+                f"request {req.id} of size {req.size} blocked "
+                f"({outcome.status.value}) despite capacity check"
+            )
+        out[req.id] = outcome.allocation
     return [out[r.id] for r in requests]
 
 

@@ -32,7 +32,7 @@ from .allocator import (
     dcr_state,
 )
 from .mapping import RadixScheme, bin_digits, digit_reverse
-from .sim import CSV_COLUMNS, build_configs, csv_row, sweep, write_csv
+from .sim import CSV_COLUMNS, build_configs, csv_row, run, write_csv
 from .statespace import (
     FINE_ENUM_CAP,
     REACHABLE_CAP,
@@ -225,7 +225,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
 
-    results = sweep(configs)
+    results = [run(cfg) for cfg in configs]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(results, fh)
@@ -296,6 +296,8 @@ def cmd_wave(args: argparse.Namespace) -> int:
         return _fail(f"d={d} out of range 0..{m // n - 1}")
     if args.blocks < 1:
         return _fail("--blocks must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed if args.seed is not None else Random().randrange(2**32)
     gen = np.random.default_rng(seed)
 
@@ -305,7 +307,7 @@ def cmd_wave(args: argparse.Namespace) -> int:
             continue
         worst = 0.0
         for _ in range(args.blocks):
-            if args.psk or name == "envelope":
+            if name == "envelope":
                 symbols = np.exp(2j * np.pi * gen.random(n))
             else:
                 symbols = gen.standard_normal(n) + 1j * gen.standard_normal(n)
@@ -381,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True, help="band size")
     p.add_argument("--d", type=int, default=0, help="subcarrier offset")
     p.add_argument("--check", choices=("equiv", "envelope", "both"), default="both")
-    p.add_argument("--psk", action="store_true",
-                   help="use unit-modulus symbols for the equivalence check too")
     p.add_argument("--blocks", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_wave)

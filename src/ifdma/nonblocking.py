@@ -10,6 +10,10 @@ Three regimes, in decreasing strength:
   admissions and departures can block a request as long as the carried
   load plus the new request stays strictly below ``strict_threshold``.
 
+The first two need no predicate of their own: ``allocate_batch_sync``
+raises ``BatchRejected`` exactly when a batch exceeds the free bins,
+and otherwise grants it in full.
+
 The threshold is tight: ``worst_case_scenario`` gives a reachable
 occupancy pattern of 2**(m-n) single bins spaced 2**n apart that
 blocks a size-2**n request at a combined load of exactly
@@ -17,48 +21,6 @@ blocks a size-2**n request at a combined load of exactly
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class LoadVector:
-    """Per-size-class request counts a_n for classes n = 0..m."""
-
-    m: int
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for n, a in self.counts.items():
-            if not 0 <= n <= self.m:
-                raise ValueError(f"size class {n} out of range for m={self.m}")
-            if a < 0:
-                raise ValueError(f"count for class {n} must be >= 0, got {a}")
-
-    @classmethod
-    def from_sizes(cls, m: int, sizes: list[int]) -> "LoadVector":
-        counts: dict[int, int] = {}
-        for s in sizes:
-            n = s.bit_length() - 1
-            if s != 1 << n or n > m:
-                raise ValueError(f"size {s} is not a power of two within 2**{m}")
-            counts[n] = counts.get(n, 0) + 1
-        return cls(m, counts)
-
-    @property
-    def load(self) -> int:
-        """Total bins requested: sum of a_n * 2**n."""
-        return sum(a << n for n, a in self.counts.items())
-
-
-def full_load_ok(loads: LoadVector) -> bool:
-    """True when a synchronous batch of these requests always fits a clean band."""
-    return loads.load <= 1 << loads.m
-
-
-def dcr_load_ok(loads: LoadVector) -> bool:
-    """True when the batch always fits a band with one pre-blocked bin."""
-    return loads.load <= (1 << loads.m) - 1
 
 
 def strict_threshold(m: int) -> int:
@@ -72,11 +34,6 @@ def strict_threshold(m: int) -> int:
     if m % 2 == 0:
         return 1 << (m // 2 + 1)
     return 3 << ((m - 1) // 2)
-
-
-def strict_ok(loads: LoadVector) -> bool:
-    """True when this load keeps every admission grantable, whatever the history."""
-    return loads.load < strict_threshold(loads.m)
 
 
 def worst_case_scenario(m: int, n: int) -> tuple[tuple[int, ...], int]:

@@ -53,6 +53,11 @@ CSV_COLUMNS = ("policy", "mix", "G", "P_B", "P_B_ci", "P_f", "P_f_ci", "S",
 
 MAX_M = MAX_BAND.bit_length() - 1  # largest m whose band 2**m fits the cap
 
+# Most arrivals a config may ask for over all its replications: at the
+# 30k-400k arrivals/s the simulator reaches on a 2-core machine, 2**31
+# arrivals already take hours.
+MAX_ARRIVALS = 1 << 31
+
 
 def _check_m(m: int) -> None:
     if not 0 <= m <= MAX_M:
@@ -92,16 +97,16 @@ class TrafficModel:
         return RadixScheme.power_of_two(self.m)
 
     @classmethod
-    def full_mix(cls, m: int, *, lam: float | None = None, G: float | None = None,
-                 holding_mean: float = 1.0) -> "TrafficModel":
-        """All classes 0..m; give either lam or the normalized offered load G."""
-        return _traffic(m, _MIX_CLASSES["full"](m), "full", holding_mean, lam, G)
+    def full_mix(cls, m: int, *, lam: float | None = None,
+                 G: float | None = None) -> "TrafficModel":
+        """All classes 0..m, unit holding mean; give either lam or the load G."""
+        return _traffic(m, _MIX_CLASSES["full"](m), "full", 1.0, lam, G)
 
     @classmethod
-    def limited_mix(cls, m: int, *, lam: float | None = None, G: float | None = None,
-                    holding_mean: float = 1.0) -> "TrafficModel":
+    def limited_mix(cls, m: int, *, lam: float | None = None,
+                    G: float | None = None) -> "TrafficModel":
         """Classes 0..m//2 only (no request larger than sqrt of the band)."""
-        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", holding_mean, lam, G)
+        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", 1.0, lam, G)
 
 
 # size classes of each named mix; a range, so that a huge m is rejected
@@ -145,8 +150,17 @@ class SimConfig:
         if not (math.isfinite(self.warmup_time) and self.warmup_time >= 0
                 and math.isfinite(self.measure_time) and self.measure_time > 0):
             raise ValueError("need finite warmup_time >= 0 and measure_time > 0")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 1 <= self.replications <= MAX_ARRIVALS:
+            raise ValueError(f"replications must be in 1..{MAX_ARRIVALS}, "
+                             f"got {self.replications}")
+        tm = self.traffic
+        per_rep = 1.0 + ((self.warmup_time + self.measure_time) * tm.lam
+                         * sum(2.0 ** -n for n in tm.classes))
+        if not self.replications * per_rep <= MAX_ARRIVALS:
+            raise ValueError(
+                f"expects {self.replications * per_rep:.3g} arrivals, above the cap of "
+                f"{MAX_ARRIVALS}: lower replications, warmup_time + measure_time or "
+                f"lam (which G and holding_mean set)")
 
 
 @dataclass(frozen=True)
@@ -330,11 +344,6 @@ def run(cfg: SimConfig) -> SimMetrics:
     )
 
 
-def sweep(configs: Iterable[SimConfig]) -> list[SimMetrics]:
-    """Run several configs in order (typically a policy x load grid)."""
-    return [run(cfg) for cfg in configs]
-
-
 def build_configs(doc: dict) -> list[SimConfig]:
     """Expand a JSON config document into a list of SimConfigs.
 
@@ -377,6 +386,8 @@ def build_configs(doc: dict) -> list[SimConfig]:
     holding = number("holding_mean", doc.get("holding_mean", 1.0))
 
     if "policies" in doc:
+        if "policy" in doc:
+            raise ValueError("give 'policy' or 'policies', not both")
         policies = nonempty("policies", doc["policies"])
     elif "policy" in doc:
         policies = [doc["policy"]]
@@ -396,7 +407,7 @@ def build_configs(doc: dict) -> list[SimConfig]:
         classes = [integer("classes", n) for n in nonempty("classes", doc["classes"])]
     else:
         mix = doc.get("mix", "full")
-        if mix not in _MIX_CLASSES:
+        if not isinstance(mix, str) or mix not in _MIX_CLASSES:
             raise ValueError(f"mix must be 'full' or 'limited', got {mix!r}")
         classes = _MIX_CLASSES[mix](m)
 

@@ -7,8 +7,9 @@ children, because free buddies coalesce.  Trees are encoded as strings:
 ``F``, ``O``, or ``(LR)`` for a split with child encodings L and R.
 
 Two trees that differ only by swapping children (recursively) behave
-identically up to relabeling, so they form one super state; the
-canonical form orders every child pair lexicographically.
+identically up to relabeling, so they form one super state;
+``enumerate_super`` counts them by a canonical form that orders every
+child pair lexicographically.
 
 The number of states explodes doubly exponentially:
 
@@ -76,31 +77,6 @@ def enumerate_fine(m: int) -> int:
     if distinct != len(states):
         raise AssertionError("fine-state construction produced duplicates")
     return distinct
-
-
-def canonical_form(state: str) -> str:
-    """Order every child pair so mirror-image trees share one encoding."""
-    if state in (FREE, OCCUPIED):
-        return state
-    # parse "(LR)": find the split point of the two children
-    depth = 0
-    for i in range(1, len(state) - 1):
-        c = state[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if depth == 0:
-            left = state[1 : i + 1]
-            right = state[i + 1 : -1]
-            break
-    else:
-        raise ValueError(f"malformed state encoding {state!r}")
-    cl = canonical_form(left)
-    cr = canonical_form(right)
-    if cr < cl:
-        cl, cr = cr, cl
-    return f"({cl}{cr})"
 
 
 def enumerate_super(m: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import Allocation
-from .mapping import RadixScheme, subcarrier_shift
+from .mapping import subcarrier_shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +58,17 @@ class StreamSpec:
 
 
 def stream_time(spec: StreamSpec) -> np.ndarray:
-    """Direct time-domain synthesis: scaled block repetition with a phase ramp."""
-    n, m = spec.block_len, spec.band_size
-    ell = np.arange(m)
-    ramp = np.exp(2j * np.pi * ell * spec.shift / m)
-    return (n / m) * ramp * np.tile(spec.symbols, m // n)
+    """Direct time-domain synthesis: scaled block repetition with a phase ramp.
+
+    Sample l = q*N + r splits its ramp as exp(2j*pi*r*d/M) times
+    exp(2j*pi*q*N*d/M), so the signal is the outer product of the M/N
+    per-repetition steps with one ramped block, and only N + M/N phases
+    are computed.
+    """
+    n, m, d = spec.block_len, spec.band_size, spec.shift
+    block = (n / m) * spec.symbols * np.exp(2j * np.pi * d * np.arange(n) / m)
+    step = np.exp(2j * np.pi * n * d * np.arange(m // n) / m)
+    return np.outer(step, block).ravel()
 
 
 def stream_freq_oracle(spec: StreamSpec) -> np.ndarray:
@@ -96,18 +102,14 @@ def multistream_time(specs: list[StreamSpec]) -> np.ndarray:
     return total
 
 
-def specs_for_allocation(
-    alloc: Allocation,
-    symbol_blocks: list[np.ndarray],
-    scheme: RadixScheme | None = None,
-) -> list[StreamSpec]:
+def specs_for_allocation(alloc: Allocation, symbol_blocks: list[np.ndarray]) -> list[StreamSpec]:
     """Build one StreamSpec per aligned range of an allocation.
 
     symbol_blocks[i] carries the symbols for ranges[i] and must match its
     size.  The ranges of one allocation occupy disjoint evenly spaced
     subcarrier sets, so the result feeds multistream_time directly.
     """
-    scheme = scheme or alloc.scheme
+    scheme = alloc.scheme
     if len(symbol_blocks) != len(alloc.ranges):
         raise ValueError(
             f"got {len(symbol_blocks)} symbol blocks for {len(alloc.ranges)} ranges"

@@ -2,13 +2,19 @@
 canonicalization, and the stable exit codes (0 ok, 1 failed numeric check,
 2 usage, 3 blocked)."""
 
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ifdma.cli as cli
 from ifdma.cli import main
+from ifdma.sim import POLICIES
 
 # bin -> subcarrier for a band of 8 (3-bit reversal)
 PERM_M8 = (0, 4, 2, 6, 1, 5, 3, 7)
@@ -210,6 +216,7 @@ class TestSim:
     CONFIG = {"m": 2, "mix": "full", "G": [0.5], "seed": 3,
               "policies": ["min_small_change", "ofdma"],
               "warmup_time": 10, "measure_time": 80, "replications": 2}
+    REPLACES = {"classes": "mix", "lam": "G"}  # keys that exclude each other
 
     def write_config(self, tmp_path, doc=None):
         path = tmp_path / "config.json"
@@ -287,12 +294,21 @@ class TestSim:
         ("holding_mean", True),
         ("warmup_time", "10"),
         ("policies", []),
+        ("policy", "ofdma"),
+        ("mix", []),
+        ("measure_time", 1e300),
+        ("warmup_time", 1e300),
+        ("lam", 1e300),
+        ("G", 1e12),
+        ("holding_mean", 1e-300),
+        ("replications", 1e300),
+        ("replications", 1e18),
     ])
     def test_bad_value_is_a_one_line_usage_error(self, capsys, tmp_path, key, value):
         # json.dumps writes NaN and Infinity, which json.load reads back
         doc = dict(self.CONFIG, **{key: value})
-        if key == "classes":  # classes replace the mix
-            del doc["mix"]
+        if key in self.REPLACES:
+            del doc[self.REPLACES[key]]
         cfg = self.write_config(tmp_path, doc)
         code, _, err = run_cli(capsys, "sim", "--config", str(cfg),
                                "--out", str(tmp_path / "o.csv"))
@@ -300,6 +316,47 @@ class TestSim:
         assert err.startswith("error: bad config:")
         assert err.count("\n") == 1
         assert key in err
+
+
+# values a config mutation may put in place; json.dumps writes NaN and
+# Infinity, which json.load reads back
+FUZZ_VALUES = [None, True, -1, 0, 1, 3, 10**18, 0.5, 2.5, 1e300, -1e300,
+               float("nan"), float("inf"), float("-inf"), "1", [], [1], {}]
+FUZZ_CONFIG = {"m": 3, "mix": "full", "G": 0.5, "policies": list(POLICIES), "seed": 1,
+               "replications": 1, "warmup_time": 0, "measure_time": 2}
+
+
+@st.composite
+def mutated_configs(draw):
+    """FUZZ_CONFIG with one key replaced, deleted or added."""
+    doc = dict(FUZZ_CONFIG)
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "add":
+        key = draw(st.sampled_from(["classes", "lam", "policy", "holding_mean", "bogus"]))
+    else:
+        key = draw(st.sampled_from(sorted(doc)))
+    if action == "delete":
+        del doc[key]
+    else:
+        doc[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return doc
+
+
+@given(mutated_configs())
+@settings(max_examples=200, deadline=None)
+def test_mutated_config_runs_or_is_a_one_line_usage_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out_csv = Path(tmp) / "config.json", Path(tmp) / "out.csv"
+        cfg.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sim", "--config", str(cfg), "--out", str(out_csv)])
+        if code == 0:
+            assert out_csv.read_text().startswith("policy,mix,G,")
+        else:
+            assert code == 2
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestStates:
@@ -399,6 +456,11 @@ class TestWave:
     def test_offset_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "wave", "--N", "4", "--M", "16", "--d", "4")
         assert code == 2
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "wave", "--N", "2", "--M", "8", "--seed", "-1")
+        assert code == 2
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "EQUIV_TOL", 0.0)

@@ -1,55 +1,42 @@
-"""Admission-guarantee predicates: thresholds, boundaries, worst cases."""
+"""Admission guarantees: thresholds, boundaries, worst cases."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifdma.allocator import (
+    MIN_SMALL_CHANGE,
+    RANDOM,
+    SORT_FIRST,
     AdmissionStatus,
+    BatchRejected,
     BinState,
     Request,
     admit,
+    allocate_batch_sync,
+    dcr_state,
     release,
 )
 from ifdma.mapping import RadixScheme
-from ifdma.nonblocking import (
-    LoadVector,
-    dcr_load_ok,
-    full_load_ok,
-    strict_ok,
-    strict_threshold,
-    worst_case_scenario,
-)
+from ifdma.nonblocking import strict_threshold, worst_case_scenario
+from ifdma.statespace import _arrival_successors, _departure_successors, state_tree
 
 
-class TestLoadVector:
-    def test_load_sums_bins(self):
-        lv = LoadVector(3, {0: 2, 2: 1})
-        assert lv.load == 2 + 4
-
-    def test_from_sizes(self):
-        lv = LoadVector.from_sizes(3, [1, 1, 4, 2])
-        assert lv.counts == {0: 2, 1: 1, 2: 1}
-        assert lv.load == 8
-
-    def test_from_sizes_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LoadVector.from_sizes(3, [3])
-        with pytest.raises(ValueError):
-            LoadVector.from_sizes(3, [16])
-
-    def test_class_range_checked(self):
-        with pytest.raises(ValueError):
-            LoadVector(2, {3: 1})
-        with pytest.raises(ValueError):
-            LoadVector(2, {0: -1})
+def batch_fits(sizes: list[int], state: BinState, policy: str) -> bool:
+    requests = [Request(i, size) for i, size in enumerate(sizes)]
+    try:
+        allocate_batch_sync(requests, policy, state=state)
+    except BatchRejected:
+        return False
+    return True
 
 
 class TestLoadPredicates:
     def test_full_and_dcr_boundaries(self):
-        assert full_load_ok(LoadVector.from_sizes(3, [4, 2, 1, 1]))       # 8
-        assert not full_load_ok(LoadVector.from_sizes(3, [8, 1]))         # 9
-        assert dcr_load_ok(LoadVector.from_sizes(3, [4, 2, 1]))           # 7
-        assert not dcr_load_ok(LoadVector.from_sizes(3, [8]))             # 8
+        scheme = RadixScheme.power_of_two(3)
+        assert batch_fits([4, 2, 1, 1], BinState(scheme), SORT_FIRST)            # 8
+        assert not batch_fits([8, 1], BinState(scheme), SORT_FIRST)              # 9
+        assert batch_fits([4, 2, 1], dcr_state(scheme, 4), MIN_SMALL_CHANGE)     # 7
+        assert not batch_fits([8], dcr_state(scheme, 4), MIN_SMALL_CHANGE)       # 8
 
     def test_strict_threshold_values(self):
         # min over n of 2**(m-n) + 2**n, closed form split by parity
@@ -69,10 +56,30 @@ class TestLoadPredicates:
         )
 
     def test_strict_is_strict(self):
-        at = LoadVector(10, {0: strict_threshold(10)})
-        below = LoadVector(10, {0: strict_threshold(10) - 1})
-        assert not strict_ok(at)
-        assert strict_ok(below)
+        """Over every reachable state, the least blocking load is the threshold."""
+        for m in (2, 3):
+            band = 1 << m
+            start = BinState(RadixScheme.power_of_two(m))
+            seen = {state_tree(start)}
+            frontier = [start]
+            least = None
+            while frontier:
+                nxt = []
+                for state in frontier:
+                    for n in range(m + 1):
+                        size = 1 << n
+                        if not admit(state.clone(), Request(band, size)).granted:
+                            load = band - state.free_count + size
+                            least = load if least is None else min(least, load)
+                    # the random policy reaches every placement
+                    for succ in (_arrival_successors(state, RANDOM)
+                                 + _departure_successors(state)):
+                        enc = state_tree(succ)
+                        if enc not in seen:
+                            seen.add(enc)
+                            nxt.append(succ)
+                frontier = nxt
+            assert least == strict_threshold(m)
 
 
 class TestWorstCase:

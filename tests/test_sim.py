@@ -20,7 +20,6 @@ from ifdma.sim import (
     build_configs,
     offered_load,
     run,
-    sweep,
     write_csv,
 )
 
@@ -283,7 +282,7 @@ class TestCsv:
         traffic = TrafficModel.full_mix(2, G=0.5)
         cfg = SimConfig(traffic, "ofdma", seed=5, warmup_time=10,
                         measure_time=100, replications=2)
-        rows = sweep([cfg])
+        rows = [run(cfg)]
         buf = io.StringIO()
         write_csv(rows, buf)
         lines = buf.getvalue().splitlines()

@@ -21,7 +21,6 @@ from ifdma.mapping import RadixScheme
 from ifdma.statespace import (
     FINE_ENUM_CAP,
     REACHABLE_CAP,
-    canonical_form,
     enumerate_fine,
     enumerate_super,
     f_rec,
@@ -85,37 +84,11 @@ class TestFineEnumeration:
             fine_states(-1)
 
 
-def subtrees(depth: int) -> st.SearchStrategy[str]:
-    return st.sampled_from(fine_states(depth))
-
-
 class TestCanonicalForm:
-    def test_orders_children(self):
-        assert canonical_form("(OF)") == "(FO)"
-        assert canonical_form("(FO)") == "(FO)"
-        # composite children sort before leaves ("(" < "F" < "O")
-        assert canonical_form("(F(OO))") == "((OO)F)"
-        assert canonical_form("((OO)F)") == "((OO)F)"
-
     def test_counts_match_recurrence(self):
         for m in range(1, 4):
             assert enumerate_super(m) == g_rec(m)
         assert enumerate_super(0) == 2
-
-    @given(subtrees(3))
-    def test_idempotent(self, state):
-        c = canonical_form(state)
-        assert canonical_form(c) == c
-
-    @given(subtrees(2), subtrees(2))
-    def test_sibling_swap_invariance(self, a, b):
-        if a == "F" and b == "F":
-            return
-        assert canonical_form(f"({a}{b})") == canonical_form(f"({b}{a})")
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            canonical_form("(F")
 
 
 class TestStateTree:

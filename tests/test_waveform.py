@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ifdma.allocator import BinState, Request, admit_multistream
 from ifdma.mapping import RadixScheme
@@ -67,6 +67,8 @@ class TestEquivalence:
         assert np.max(np.abs(x - expect)) < 1e-15
 
     @given(stream_specs())
+    @example(StreamSpec(random_symbols(np.random.default_rng(1), 1), 64, 37))   # N = 1
+    @example(StreamSpec(random_symbols(np.random.default_rng(2), 64), 64, 0))   # N = M
     @settings(max_examples=150, deadline=None)
     def test_matches_frequency_oracle(self, spec):
         err = np.max(np.abs(stream_time(spec) - stream_freq_oracle(spec)))
