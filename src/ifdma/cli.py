@@ -76,9 +76,12 @@ def _policy(flag: str) -> str:
 
 def _scheme_from(args: argparse.Namespace) -> RadixScheme:
     if args.radices is not None:
-        parts = [p for p in args.radices.split(",") if p.strip()]
-        if not parts:
-            raise ValueError("--radices needs a comma-separated list, e.g. 2,2,3")
+        parts = [p.strip() for p in args.radices.split(",")]
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(
+                f"--radices needs a comma-separated list of integers, e.g. 2,2,3; "
+                f"got {args.radices!r}"
+            )
         return RadixScheme(tuple(int(p) for p in parts))
     return RadixScheme.power_of_two(args.m)
 

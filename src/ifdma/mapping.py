@@ -72,7 +72,7 @@ class RadixScheme:
         """Number of digit positions T."""
         return len(self.radices)
 
-    @property
+    @cached_property
     def is_power_of_two(self) -> bool:
         return all(p == 2 for p in self.radices)
 
@@ -98,11 +98,15 @@ class RadixScheme:
         weights.reverse()
         return tuple(weights)
 
+    @cached_property
+    def _level_by_size(self) -> dict[int, int]:
+        return {size: j for j, size in enumerate(self.block_sizes)}
+
     def level_of(self, size: int) -> int:
         """Index j with block_sizes[j] == size, or ValueError."""
         try:
-            return self.block_sizes.index(size)
-        except ValueError:
+            return self._level_by_size[size]
+        except (KeyError, TypeError):  # TypeError: an unhashable size
             raise ValueError(
                 f"size {size} is not fillable under radices {self.radices}; "
                 f"allowed sizes are {self.block_sizes}"

@@ -9,7 +9,13 @@ children, because free buddies coalesce.  Trees are encoded as strings:
 Two trees that differ only by swapping children (recursively) behave
 identically up to relabeling, so they form one super state;
 ``enumerate_super`` counts them by a canonical form that orders every
-child pair lexicographically.
+child pair lexicographically.  A split's canonical form depends only on
+its children's, so each level is built from the distinct forms of the
+level below, never from the fine states.
+
+``reachable_states`` searches admit/release transitions from the empty
+band once, keying each state by the ranges it holds, and derives the
+arrival-only states as the closure of the arrival edges it recorded.
 
 The number of states explodes doubly exponentially:
 
@@ -21,10 +27,11 @@ so enumeration is capped at m = 4 and policy reachability at m = 3.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .allocator import MIN_SMALL_CHANGE, RANDOM, BinState, Request, admit, place, release
-from .mapping import RadixScheme
+from .mapping import AlignedRange, RadixScheme
 
 FINE_ENUM_CAP = 4
 REACHABLE_CAP = 3
@@ -80,24 +87,23 @@ def enumerate_fine(m: int) -> int:
 
 
 def enumerate_super(m: int) -> int:
-    """Count super states by enumerating fine states and deduplicating canonicals."""
+    """Count super states by building the distinct canonical forms level by level.
+
+    A split of two subtrees with canonical forms a <= b has canonical
+    form ``(ab)``, so the forms of depth k + 1 are F, O and every ordered
+    pair of depth-k forms except (FF).
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > FINE_ENUM_CAP:
         raise ValueError(f"enumeration is capped at m={FINE_ENUM_CAP}")
-    # carry (canonical form per fine state) one level at a time; the fine
-    # strings themselves are not needed, only validity (fully-free iff "F")
-    canons = [FREE, OCCUPIED]
+    canons = {FREE, OCCUPIED}
     for _ in range(m):
-        nxt = [FREE, OCCUPIED]
-        append = nxt.append
-        for a in canons:
-            for b in canons:
-                if a == FREE and b == FREE:
-                    continue
-                append(f"({a}{b})" if a <= b else f"({b}{a})")
-        canons = nxt
-    return len(set(canons))
+        below = sorted(canons)
+        canons = {FREE, OCCUPIED}
+        canons.update(f"({a}{b})" for i, a in enumerate(below) for b in below[i:])
+        canons.discard(f"({FREE}{FREE})")
+    return len(canons)
 
 
 def state_tree(state: BinState) -> str:
@@ -136,16 +142,21 @@ class ReachabilityReport:
     departure_only: frozenset[str]
 
 
-def _arrival_successors(state: BinState, policy: str) -> list[BinState]:
-    """Clones one admission ahead, for every size and every placement the policy allows."""
+def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
+    """Admit every size at every placement the policy allows, one at a time.
+
+    Each admission is applied to ``state`` itself and yielded as its
+    range, then released before the next one; free lists hold exactly the
+    maximal free blocks, so the release restores the state exactly.
+    """
     m = state.scheme.levels
     rid = max(state.groups, default=-1) + 1
-    out = []
     if policy == MIN_SMALL_CHANGE:
         for n in range(m + 1):
-            nxt = state.clone()
-            if admit(nxt, Request(rid, 1 << n), MIN_SMALL_CHANGE).granted:
-                out.append(nxt)
+            outcome = admit(state, Request(rid, 1 << n), MIN_SMALL_CHANGE)
+            if outcome.granted:
+                yield outcome.allocation.ranges[0]
+                release(state, rid)
     elif policy == RANDOM:
         free = state.free
         for n in range(m + 1):
@@ -161,60 +172,60 @@ def _arrival_successors(state: BinState, policy: str) -> list[BinState]:
                     for k in range(1 << (j - n))
                 )
             for start in starts:
-                nxt = state.clone()
-                place(nxt, Request(rid, size), start)
-                out.append(nxt)
+                yield place(state, Request(rid, size), start).ranges[0]
+                release(state, rid)
     else:
         raise ValueError(f"unknown admission policy {policy!r}")
-    return out
-
-
-def _departure_successors(state: BinState) -> list[BinState]:
-    out = []
-    for rid in state.groups:
-        nxt = state.clone()
-        release(nxt, rid)
-        out.append(nxt)
-    return out
 
 
 def reachable_states(m: int, policy: str = MIN_SMALL_CHANGE) -> ReachabilityReport:
-    """BFS over admit/release transitions from the empty band.
+    """Search admit/release transitions from the empty band, once.
 
-    Returns the full reachable set size together with the split between
-    states an arrival-only history can produce and states that need at
-    least one departure.
+    A state is keyed by the set of ``(start, size)`` of its held ranges,
+    which fixes the tree over the band.  A state is cloned only when a
+    transition reaches a new key: an arrival is tried on the state itself
+    and undone, and a departure's key is its parent's minus the released
+    ranges.  The arrival edges are recorded on the way, and the states an
+    arrival-only history can produce are their closure from the empty
+    band; the rest need at least one departure.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > REACHABLE_CAP:
         raise ValueError(f"reachability search is capped at m={REACHABLE_CAP}")
-    scheme = RadixScheme.power_of_two(m)
-
-    def bfs(with_departures: bool) -> frozenset[str]:
-        start = BinState(scheme)
-        seen = {state_tree(start)}
-        frontier = [start]
-        while frontier:
-            nxt_frontier = []
-            for st in frontier:
-                succs = _arrival_successors(st, policy)
-                if with_departures:
-                    succs += _departure_successors(st)
-                for succ in succs:
-                    enc = state_tree(succ)
-                    if enc not in seen:
-                        seen.add(enc)
-                        nxt_frontier.append(succ)
-            frontier = nxt_frontier
-        return frozenset(seen)
-
-    full = bfs(with_departures=True)
-    arrivals = bfs(with_departures=False)
+    empty = frozenset()
+    states = {empty: BinState(RadixScheme.power_of_two(m))}
+    arrival_edges = {}
+    todo = [empty]
+    while todo:
+        key = todo.pop()
+        state = states[key]
+        edges = arrival_edges[key] = []
+        for r in _arrivals(state, policy):
+            nxt = key | {(r.start, r.size)}
+            edges.append(nxt)
+            if nxt not in states:
+                states[nxt] = state.clone()
+                todo.append(nxt)
+        for rid, ranges in state.groups.items():
+            nxt = key - {(r.start, r.size) for r in ranges}
+            if nxt not in states:
+                states[nxt] = after = state.clone()
+                release(after, rid)
+                todo.append(nxt)
+    arrived = {empty}
+    todo = [empty]
+    while todo:
+        for nxt in arrival_edges[todo.pop()]:
+            if nxt not in arrived:
+                arrived.add(nxt)
+                todo.append(nxt)
+    trees = {key: state_tree(state) for key, state in states.items()}
+    arrivals = frozenset(trees[key] for key in arrived)
     return ReachabilityReport(
         m=m,
         policy=policy,
-        total=len(full),
+        total=len(trees),
         arrival_reachable=arrivals,
-        departure_only=full - arrivals,
+        departure_only=frozenset(trees.values()) - arrivals,
     )

@@ -94,6 +94,16 @@ class TestMap:
                            "subcarrier": 1}
 
 
+@pytest.mark.parametrize("command", [["map"], ["alloc", "--requests", "A:1"]])
+@pytest.mark.parametrize("radices", ["2,x", "2,,3", "2,2,", "", "1_0", "2,-2"])
+def test_malformed_radices_is_a_one_line_usage_error(capsys, command, radices):
+    code, out, err = run_cli(capsys, *command, "--radices", radices)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: --radices") and "2,2,3" in err
+
+
 class TestAlloc:
     def test_sort_first_batch(self, capsys):
         code, out, _ = run_cli(

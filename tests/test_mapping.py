@@ -111,6 +111,10 @@ class TestRadixScheme:
             s.level_of(2)
         with pytest.raises(ValueError):
             s.level_of(5)
+        assert s.level_of(3.0) == 1  # an equal float finds its level, as 3 does
+        msg = r"^size \[3\] is not fillable under radices \(2, 2, 3\); allowed sizes are"
+        with pytest.raises(ValueError, match=msg):
+            s.level_of([3])  # unhashable
 
 
 class TestDigitReverse:

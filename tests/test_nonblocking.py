@@ -18,7 +18,7 @@ from ifdma.allocator import (
 )
 from ifdma.mapping import RadixScheme
 from ifdma.nonblocking import strict_threshold, worst_case_scenario
-from ifdma.statespace import _arrival_successors, _departure_successors, state_tree
+from ifdma.statespace import _arrivals, state_tree
 
 
 def batch_fits(sizes: list[int], state: BinState, policy: str) -> bool:
@@ -71,9 +71,13 @@ class TestLoadPredicates:
                         if not admit(state.clone(), Request(band, size)).granted:
                             load = band - state.free_count + size
                             least = load if least is None else min(least, load)
-                    # the random policy reaches every placement
-                    for succ in (_arrival_successors(state, RANDOM)
-                                 + _departure_successors(state)):
+                    # the random policy reaches every placement; clone each
+                    # while it is in place
+                    succs = [state.clone() for _ in _arrivals(state, RANDOM)]
+                    for rid in state.groups:
+                        succs.append(state.clone())
+                        release(succs[-1], rid)
+                    for succ in succs:
                         enc = state_tree(succ)
                         if enc not in seen:
                             seen.add(enc)

@@ -15,6 +15,7 @@ from ifdma.allocator import (
     admit_multistream,
     check_consistency,
     dcr_state,
+    place,
     release,
 )
 from ifdma.mapping import RadixScheme
@@ -28,7 +29,7 @@ from ifdma.statespace import (
     g_rec,
     reachable_states,
     state_tree,
-    _arrival_successors,
+    _arrivals,
 )
 
 FINE_COUNTS = {0: 2, 1: 5, 2: 26, 3: 677, 4: 458330}
@@ -84,11 +85,34 @@ class TestFineEnumeration:
             fine_states(-1)
 
 
+def canonical(tree: str) -> str:
+    """Canonical form of one tree encoding: every child pair in lexicographic order."""
+    def parse(i: int) -> tuple[str, int]:
+        if tree[i] in "FO":
+            return tree[i], i + 1
+        a, i = parse(i + 1)
+        b, i = parse(i)
+        assert tree[i] == ")"
+        return (f"({a}{b})" if a <= b else f"({b}{a})"), i + 1
+
+    form, end = parse(0)
+    assert end == len(tree)
+    return form
+
+
 class TestCanonicalForm:
     def test_counts_match_recurrence(self):
         for m in range(1, 4):
             assert enumerate_super(m) == g_rec(m)
         assert enumerate_super(0) == 2
+
+    def test_matches_canonicalized_fine_states(self):
+        assert canonical("((OF)(FO))") == canonical("((FO)(OF))") == "((FO)(FO))"
+        for m in range(4):
+            want = len({canonical(tree) for tree in fine_states(m)})
+            assert enumerate_super(m) == want
+            if m >= 1:
+                assert g_rec(m) == want
 
 
 class TestStateTree:
@@ -232,9 +256,11 @@ def reference_random_starts(state: BinState) -> list[tuple[int, int]]:
 
 
 def random_starts(state: BinState) -> list[tuple[int, int]]:
-    rid = max(state.groups, default=-1) + 1
-    return [(nxt.groups[rid][0].size, nxt.groups[rid][0].start)
-            for nxt in _arrival_successors(state, RANDOM)]
+    return [(r.size, r.start) for r in _arrivals(state, RANDOM)]
+
+
+def snapshot(state: BinState) -> tuple:
+    return [set(fs) for fs in state.free], state.free_count, dict(state.groups)
 
 
 @given(
@@ -263,4 +289,67 @@ def test_free_list_readers_match_bitmap_reference(m, dc, seed, ops):
             next_id += out.granted
         check_consistency(state)
         assert state_tree(state) == reference_tree(state)
+        before = snapshot(state)
         assert random_starts(state) == reference_random_starts(state)
+        assert snapshot(state) == before  # trying every arrival leaves the state as it was
+
+
+# -- reference search ---------------------------------------------------------
+# A breadth-first search over state_tree strings that clones every successor,
+# run twice: once with departures (every reachable state) and once without
+# (the arrival-reachable ones).  Random placements come from the bitmap scan.
+
+
+def reference_arrival_successors(state: BinState, policy: str) -> list[BinState]:
+    rid = max(state.groups, default=-1) + 1
+    out = []
+    if policy == MIN_SMALL_CHANGE:
+        for n in range(state.scheme.levels + 1):
+            nxt = state.clone()
+            if admit(nxt, Request(rid, 1 << n)).granted:
+                out.append(nxt)
+    else:
+        for size, start in reference_random_starts(state):
+            nxt = state.clone()
+            place(nxt, Request(rid, size), start)
+            out.append(nxt)
+    return out
+
+
+def reference_departure_successors(state: BinState) -> list[BinState]:
+    out = []
+    for rid in state.groups:
+        nxt = state.clone()
+        release(nxt, rid)
+        out.append(nxt)
+    return out
+
+
+def reference_bfs(m: int, policy: str, with_departures: bool) -> frozenset[str]:
+    start = BinState(RadixScheme.power_of_two(m))
+    seen = {state_tree(start)}
+    frontier = [start]
+    while frontier:
+        nxt_frontier = []
+        for state in frontier:
+            succs = reference_arrival_successors(state, policy)
+            if with_departures:
+                succs += reference_departure_successors(state)
+            for succ in succs:
+                enc = state_tree(succ)
+                if enc not in seen:
+                    seen.add(enc)
+                    nxt_frontier.append(succ)
+        frontier = nxt_frontier
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("policy", [MIN_SMALL_CHANGE, RANDOM])
+@pytest.mark.parametrize("m", range(REACHABLE_CAP + 1))
+def test_reachable_states_match_two_pass_reference(m, policy):
+    full = reference_bfs(m, policy, with_departures=True)
+    arrivals = reference_bfs(m, policy, with_departures=False)
+    rep = reachable_states(m, policy)
+    assert rep.total == len(full)
+    assert rep.arrival_reachable == arrivals
+    assert rep.departure_only == full - arrivals
