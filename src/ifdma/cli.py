@@ -31,7 +31,7 @@ from .allocator import (
     allocate_batch_sync,
     dcr_state,
 )
-from .mapping import RadixScheme, bin_digits, digit_reverse
+from .mapping import MAX_BAND, RadixScheme, bin_digits, digit_reverse
 from .sim import CSV_COLUMNS, build_configs, csv_row, run, write_csv
 from .statespace import (
     FINE_ENUM_CAP,
@@ -82,6 +82,10 @@ def _scheme_from(args: argparse.Namespace) -> RadixScheme:
                 f"--radices needs a comma-separated list of integers, e.g. 2,2,3; "
                 f"got {args.radices!r}"
             )
+        # int() of a long digit string is slow and errors past 4300 digits
+        if any(len(p.lstrip("0")) > len(str(MAX_BAND)) for p in parts):
+            raise ValueError(f"--radices entries must not exceed the band size cap "
+                             f"{MAX_BAND}, e.g. 2,2,3")
         return RadixScheme(tuple(int(p) for p in parts))
     return RadixScheme.power_of_two(args.m)
 
@@ -130,17 +134,16 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def _parse_requests(spec: str) -> list[tuple[str, int]]:
+    """(name, size) pairs from an inline ``A:1,B:4`` list, or from ``@file``
+    holding a JSON list of ``{"name": ..., "size": ...}`` records."""
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
             data = json.load(fh)
-        if isinstance(data, dict):
-            items = [(str(name), size) for name, size in data.items()]
-        elif isinstance(data, list) and all(
-                isinstance(d, dict) and {"name", "size"} <= d.keys() for d in data):
-            items = [(str(d["name"]), d["size"]) for d in data]
-        else:
-            raise ValueError('requests file must hold an object or a list of '
+        if not (isinstance(data, list) and all(
+                isinstance(d, dict) and {"name", "size"} <= d.keys() for d in data)):
+            raise ValueError('requests file must hold a list of '
                              '{"name": ..., "size": ...} records')
+        items = [(str(d["name"]), d["size"]) for d in data]
     else:
         items = []
         for part in spec.split(","):
@@ -293,6 +296,8 @@ def cmd_states(args: argparse.Namespace) -> int:
 
 def cmd_wave(args: argparse.Namespace) -> int:
     n, m, d = args.N, args.M, args.d
+    if m > MAX_BAND:
+        return _fail(f"--M {m} is above the band size cap {MAX_BAND}")
     if n < 1 or m < 1 or m % n:
         return _fail(f"N={n} must divide M={m}")
     if not 0 <= d < m // n:

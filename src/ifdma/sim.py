@@ -97,16 +97,14 @@ class TrafficModel:
         return RadixScheme.power_of_two(self.m)
 
     @classmethod
-    def full_mix(cls, m: int, *, lam: float | None = None,
-                 G: float | None = None) -> "TrafficModel":
-        """All classes 0..m, unit holding mean; give either lam or the load G."""
-        return _traffic(m, _MIX_CLASSES["full"](m), "full", 1.0, lam, G)
+    def full_mix(cls, m: int, *, G: float) -> "TrafficModel":
+        """All classes 0..m at normalized load G, unit holding mean."""
+        return _traffic(m, _MIX_CLASSES["full"](m), "full", 1.0, G)
 
     @classmethod
-    def limited_mix(cls, m: int, *, lam: float | None = None,
-                    G: float | None = None) -> "TrafficModel":
-        """Classes 0..m//2 only (no request larger than sqrt of the band)."""
-        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", 1.0, lam, G)
+    def limited_mix(cls, m: int, *, G: float) -> "TrafficModel":
+        """Classes 0..m//2 only (no request larger than sqrt of the band) at load G."""
+        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", 1.0, G)
 
 
 # size classes of each named mix; a range, so that a huge m is rejected
@@ -115,16 +113,13 @@ _MIX_CLASSES = {"full": lambda m: range(m + 1), "limited": lambda m: range(m // 
 
 
 def _traffic(m: int, classes: Sequence[int], mix: str, holding_mean: float,
-             lam: float | None = None, G: float | None = None) -> TrafficModel:
-    """A TrafficModel from exactly one of lam and the normalized load G."""
+             G: float) -> TrafficModel:
+    """A TrafficModel at normalized load G: lam = G * 2**m / (|classes| * holding_mean)."""
     _check_m(m)
-    if (lam is None) == (G is None):
-        raise ValueError("give exactly one of lam or G")
-    if G is not None:
-        _check_holding_mean(holding_mean)
-        if not math.isfinite(G):
-            raise ValueError(f"G must be finite, got {G}")
-        lam = G * (1 << m) / (len(classes) * holding_mean)
+    _check_holding_mean(holding_mean)
+    if not math.isfinite(G):
+        raise ValueError(f"G must be finite, got {G}")
+    lam = G * (1 << m) / (len(classes) * holding_mean)
     return TrafficModel(m, lam, tuple(classes), holding_mean, mix)
 
 
@@ -347,15 +342,15 @@ def run(cfg: SimConfig) -> SimMetrics:
 def build_configs(doc: dict) -> list[SimConfig]:
     """Expand a JSON config document into a list of SimConfigs.
 
-    Expected keys: m (int); mix ("full" | "limited") or classes (list of
-    ints); G (number or list) or lam (number or list); policies (list) or
-    policy (str); seed (int); and optional warmup_time, measure_time,
-    replications (int), holding_mean.  An integral float counts as an
-    int, a bool or string is never a number, and no list may be empty.
+    Required keys: m (int), G (the normalized load, a number or a list),
+    policies (a list) and seed (int).  Optional: mix ("full" | "limited")
+    or classes (list of ints), warmup_time, measure_time, replications
+    (int) and holding_mean.  An integral float counts as an int, a bool
+    or string is never a number, and no list may be empty.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    known = {"m", "mix", "classes", "G", "lam", "policies", "policy", "seed",
+    known = {"m", "mix", "classes", "G", "policies", "seed",
              "warmup_time", "measure_time", "replications", "holding_mean"}
     unknown = set(doc) - known
     if unknown:
@@ -378,27 +373,15 @@ def build_configs(doc: dict) -> list[SimConfig]:
             raise ValueError(f"{key} must be a non-empty list, got {value!r}")
         return value
 
-    for key in ("m", "seed"):
+    for key in ("m", "seed", "policies", "G"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
     m = integer("m", doc["m"])
     seed = integer("seed", doc["seed"])
     holding = number("holding_mean", doc.get("holding_mean", 1.0))
-
-    if "policies" in doc:
-        if "policy" in doc:
-            raise ValueError("give 'policy' or 'policies', not both")
-        policies = nonempty("policies", doc["policies"])
-    elif "policy" in doc:
-        policies = [doc["policy"]]
-    else:
-        raise ValueError("config is missing 'policy' or 'policies'")
-
-    if ("G" in doc) == ("lam" in doc):
-        raise ValueError("give exactly one of 'G' or 'lam'")
-    load_key = "G" if "G" in doc else "lam"
-    loads = doc[load_key]
-    loads = nonempty(load_key, loads) if isinstance(loads, (list, tuple)) else [loads]
+    policies = nonempty("policies", doc["policies"])
+    loads = doc["G"]
+    loads = nonempty("G", loads) if isinstance(loads, (list, tuple)) else [loads]
 
     if "classes" in doc:
         if "mix" in doc:
@@ -418,8 +401,7 @@ def build_configs(doc: dict) -> list[SimConfig]:
     if "replications" in doc:
         kwargs["replications"] = integer("replications", doc["replications"])
 
-    traffics = [_traffic(m, classes, mix, holding, **{load_key: number(load_key, x)})
-                for x in loads]
+    traffics = [_traffic(m, classes, mix, holding, number("G", x)) for x in loads]
     return [SimConfig(traffic=t, policy=str(pol), seed=seed, **kwargs)
             for pol in policies for t in traffics]
 

@@ -95,7 +95,8 @@ class TestMap:
 
 
 @pytest.mark.parametrize("command", [["map"], ["alloc", "--requests", "A:1"]])
-@pytest.mark.parametrize("radices", ["2,x", "2,,3", "2,2,", "", "1_0", "2,-2"])
+@pytest.mark.parametrize("radices", ["2,x", "2,,3", "2,2,", "", "1_0", "2,-2",
+                                     pytest.param("2," + "9" * 5000, id="2,9x5000")])
 def test_malformed_radices_is_a_one_line_usage_error(capsys, command, radices):
     code, out, err = run_cli(capsys, *command, "--radices", radices)
     assert code == 2
@@ -168,13 +169,15 @@ class TestAlloc:
         assert err.startswith("error:")
 
     def test_requests_from_json_object_file(self, capsys, tmp_path):
+        # an object is not a list of records; json.load would also merge its
+        # duplicate names into one request
         path = tmp_path / "reqs.json"
-        path.write_text(json.dumps({"A": 1, "B": 4}))
-        code, out, _ = run_cli(
-            capsys, "alloc", "--m", "3", "--requests", f"@{path}",
-            "--policy", "min-small-change")
-        assert code == 0
-        assert out.splitlines()[2].split()[:3] == ["B", "4", "4-7"]
+        for text in ('{"A": 1, "B": 4}', '{"A": 1, "A": 4}'):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "alloc", "--m", "3", "--requests", f"@{path}")
+            assert (code, out) == (2, "")
+            assert err == ('error: requests file must hold a list of '
+                           '{"name": ..., "size": ...} records\n')
 
     def test_requests_from_json_list_file(self, capsys, tmp_path):
         path = tmp_path / "reqs.json"
@@ -188,9 +191,10 @@ class TestAlloc:
         ([1, 2], "records"),
         ([{"name": "A"}], "records"),
         ([{"size": 2}], "records"),
-        ({"A": True}, "positive integer size"),
+        ([{"name": "A", "size": 0}], "positive integer size"),
         ([{"name": "A", "size": True}], "positive integer size"),
-        ({"A": 1.0}, "positive integer size"),
+        ([{"name": "A", "size": 1.0}], "positive integer size"),
+        ([{"name": "A", "size": 1}, {"name": "A", "size": 4}], "names must be unique"),
     ])
     def test_requests_from_bad_json_file(self, capsys, tmp_path, data, complaint):
         path = tmp_path / "reqs.json"
@@ -277,6 +281,15 @@ class TestSim:
         code, _, err = run_cli(capsys, "sim", "--config", str(path),
                                "--out", str(tmp_path / "o.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("old, new", [("policies", "policy"), ("G", "lam")])
+    def test_removed_spelling_is_a_one_line_usage_error(self, capsys, tmp_path, old, new):
+        doc = dict(self.CONFIG)
+        doc[new] = doc.pop(old)
+        cfg = self.write_config(tmp_path, doc)
+        code, _, err = run_cli(capsys, "sim", "--config", str(cfg),
+                               "--out", str(tmp_path / "o.csv"))
+        assert (code, err) == (2, f"error: bad config: unknown config keys: ['{new}']\n")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dict(self.CONFIG, typo=1))
@@ -466,6 +479,12 @@ class TestWave:
     def test_offset_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "wave", "--N", "4", "--M", "16", "--d", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("band", [2**21, 2**40])
+    def test_band_above_cap_is_a_usage_error(self, capsys, band):
+        code, out, err = run_cli(capsys, "wave", "--N", "1", "--M", str(band))
+        assert (code, out) == (2, "")
+        assert err == f"error: --M {band} is above the band size cap {2**20}\n"
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "wave", "--N", "2", "--M", "8", "--seed", "-1")
