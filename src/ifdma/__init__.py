@@ -17,7 +17,6 @@ from .allocator import (
     Allocation,
     BatchRejected,
     BinState,
-    Request,
     admit,
     admit_multistream,
     allocate_batch_sync,
@@ -95,7 +94,6 @@ __all__ = [
     "REACHABLE_CAP",
     "RadixScheme",
     "ReachabilityReport",
-    "Request",
     "SORT_FIRST",
     "SimConfig",
     "SimMetrics",

@@ -48,12 +48,6 @@ class BatchRejected(Exception):
     """A synchronous batch exceeds capacity (or hit an unplaceable request)."""
 
 
-@dataclass(frozen=True)
-class Request:
-    id: int
-    size: int
-
-
 class AdmissionStatus(enum.Enum):
     GRANTED = "granted"
     BLOCKED_OVERLOAD = "blocked_overload"
@@ -249,14 +243,15 @@ def _commit(
 
 def admit(
     state: BinState,
-    request: Request,
+    request_id: int,
+    size: int,
     policy: str = MIN_SMALL_CHANGE,
     rng: Random | None = None,
 ) -> AdmissionOutcome:
-    """Place one allowed-size request, or report why it blocked."""
-    n = state.scheme.level_of(request.size)
-    if request.id in state.groups:
-        raise ValueError(f"request id {request.id} is already active")
+    """Place request ``request_id`` of one allowed size, or report why it blocked."""
+    n = state.scheme.level_of(size)
+    if request_id in state.groups:
+        raise ValueError(f"request id {request_id} is already active")
     if policy == MIN_SMALL_CHANGE:
         start = state._take_min(n)
     elif policy == RANDOM:
@@ -266,20 +261,19 @@ def admit(
     else:
         raise ValueError(f"unknown admission policy {policy!r}")
     if start is None:
-        if state.free_count < request.size:
+        if state.free_count < size:
             return _BLOCKED_OVERLOAD
         return _BLOCKED_FRAGMENTATION
-    size = request.size
-    return _commit(state, request.id, (AlignedRange(start, size),), size)
+    return _commit(state, request_id, (AlignedRange(start, size),), size)
 
 
-def place(state: BinState, request: Request, start: int) -> Allocation:
-    """Grant a request exactly the free aligned block of its size at start."""
-    if request.id in state.groups:
-        raise ValueError(f"request id {request.id} is already active")
-    r = AlignedRange(start, request.size)
-    state._carve(start, state.scheme.level_of(request.size))
-    return _commit(state, request.id, (r,), request.size).allocation
+def place(state: BinState, request_id: int, size: int, start: int) -> Allocation:
+    """Grant request ``request_id`` exactly the free aligned block of ``size`` at start."""
+    if request_id in state.groups:
+        raise ValueError(f"request id {request_id} is already active")
+    r = AlignedRange(start, size)
+    state._carve(start, state.scheme.level_of(size))
+    return _commit(state, request_id, (r,), size).allocation
 
 
 def release(state: BinState, request_id: int) -> None:
@@ -293,8 +287,8 @@ def release(state: BinState, request_id: int) -> None:
         state._release_block(r.start, level_of(r.size))
 
 
-def admit_multistream(state: BinState, request: Request) -> AdmissionOutcome:
-    """Serve an arbitrary-size request as several allowed-size streams.
+def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionOutcome:
+    """Serve request ``request_id`` of any size as several allowed-size streams.
 
     Gathers largest-fitting blocks first (ties by lowest start).  When
     every free block is larger than the remaining need, it takes what
@@ -302,11 +296,10 @@ def admit_multistream(state: BinState, request: Request) -> AdmissionOutcome:
     of the smallest larger blocks, split keeping its lowest child.
     Grants whenever enough bins are free, so fragmentation never blocks.
     """
-    size = request.size
     if not 1 <= size <= state.scheme.size:
         raise ValueError(f"request size {size} out of range for band size {state.scheme.size}")
-    if request.id in state.groups:
-        raise ValueError(f"request id {request.id} is already active")
+    if request_id in state.groups:
+        raise ValueError(f"request id {request_id} is already active")
     if state.free_count < size:
         return _BLOCKED_OVERLOAD
     free = state.free
@@ -322,62 +315,59 @@ def admit_multistream(state: BinState, request: Request) -> AdmissionOutcome:
         taken.append(AlignedRange(start, sizes[j]))
         remaining -= sizes[j]
     taken.sort(key=lambda r: r.start)
-    return _commit(state, request.id, tuple(taken), size)
+    return _commit(state, request_id, tuple(taken), size)
 
 
 def allocate_batch_sync(
-    requests: list[Request],
+    sizes: list[int],
     policy: str = SORT_FIRST,
     scheme: RadixScheme | None = None,
     *,
     state: BinState | None = None,
 ) -> list[Allocation]:
-    """Place a whole batch; returns allocations in input order.
+    """Place a whole batch; request i has size ``sizes[i]`` and id i.
 
-    Both policies admit every request through ``min_small_change``.
-    ``min_small_change`` admits in list order, which also works on a band
-    holding blocked bins.  ``sort_first`` needs a band with no bin in use
-    and admits in descending size order (ties by id).  That order packs
-    the band left to right: once the larger requests fill [0, pos), pos
-    is a multiple of the next size and the maximal free blocks grow from
-    left to right, so the smallest adequate block with the lowest start
-    is the one at pos.  A batch whose total size exceeds the free
-    capacity raises BatchRejected.
+    Returns the allocations in input order.  Both policies admit every
+    request through ``min_small_change``.  ``min_small_change`` admits in
+    list order, which also works on a band holding blocked bins.
+    ``sort_first`` needs a band with no bin in use and admits in
+    descending size order (ties by position).  That order packs the band
+    left to right: once the larger requests fill [0, pos), pos is a
+    multiple of the next size and the maximal free blocks grow from left
+    to right, so the smallest adequate block with the lowest start is the
+    one at pos.  A batch whose total size exceeds the free capacity raises
+    BatchRejected.
     """
     if (scheme is None) == (state is None):
         raise ValueError("provide exactly one of scheme or state")
     if state is None:
         assert scheme is not None
         state = BinState(scheme)
-    ids = [r.id for r in requests]
-    if len(set(ids)) != len(ids):
-        raise ValueError("request ids within a batch must be unique")
-    for r in requests:
-        state.scheme.level_of(r.size)
-    total = sum(r.size for r in requests)
+    for size in sizes:
+        state.scheme.level_of(size)
+    total = sum(sizes)
     if total > state.free_count:
         raise BatchRejected(
             f"batch needs {total} bins but only {state.free_count} of "
             f"{state.scheme.size} are free"
         )
+    order = range(len(sizes))
     if policy == SORT_FIRST:
         if state.free_count != state.scheme.size:
             raise ValueError("sort_first packs a clean band and cannot honour bins in use")
-        order = sorted(requests, key=lambda r: (-r.size, r.id))
-    elif policy == MIN_SMALL_CHANGE:
-        order = requests
-    else:
+        order = sorted(order, key=lambda i: -sizes[i])
+    elif policy != MIN_SMALL_CHANGE:
         raise ValueError(f"unknown batch policy {policy!r}")
-    out: dict[int, Allocation] = {}
-    for req in order:
-        outcome = admit(state, req, MIN_SMALL_CHANGE)
+    out: list[Allocation | None] = [None] * len(sizes)
+    for i in order:
+        outcome = admit(state, i, sizes[i], MIN_SMALL_CHANGE)
         if outcome.allocation is None:
             raise BatchRejected(
-                f"request {req.id} of size {req.size} blocked "
+                f"request {i} of size {sizes[i]} blocked "
                 f"({outcome.status.value}) despite capacity check"
             )
-        out[req.id] = outcome.allocation
-    return [out[r.id] for r in requests]
+        out[i] = outcome.allocation
+    return out
 
 
 def dcr_state(scheme: RadixScheme, dc_subcarrier: int) -> BinState:

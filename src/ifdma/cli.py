@@ -26,7 +26,6 @@ from .allocator import (
     SORT_FIRST,
     BatchRejected,
     BinState,
-    Request,
     admit_multistream,
     allocate_batch_sync,
     dcr_state,
@@ -137,8 +136,12 @@ def _parse_requests(spec: str) -> list[tuple[str, int]]:
     """(name, size) pairs from an inline ``A:1,B:4`` list, or from ``@file``
     holding a JSON list of ``{"name": ..., "size": ...}`` records."""
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(spec[1:], encoding="utf-8") as fh:
+                data = json.load(fh)
+        # ValueError: bad JSON, bytes or digits; RecursionError: nesting too deep
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ValueError(f"cannot read requests file {spec[1:]}: {exc}") from None
         if not (isinstance(data, list) and all(
                 isinstance(d, dict) and {"name", "size"} <= d.keys() for d in data)):
             raise ValueError('requests file must hold a list of '
@@ -148,9 +151,13 @@ def _parse_requests(spec: str) -> list[tuple[str, int]]:
         items = []
         for part in spec.split(","):
             name, sep, size = part.partition(":")
-            name = name.strip()
-            if not sep or not name:
-                raise ValueError(f"bad request {part!r}, want name:size")
+            name, size = name.strip(), size.strip()
+            if not (sep and name and size.isascii() and size.isdigit()):
+                raise ValueError(f"bad request {part!r}, want name:size with an integer size")
+            # int() of a long digit string is slow and errors past 4300 digits
+            if len(size.lstrip("0")) > len(str(MAX_BAND)):
+                raise ValueError(f"request {name!r} has a size above the band size cap "
+                                 f"{MAX_BAND}, want name:size")
             items.append((name, int(size)))
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
@@ -184,7 +191,6 @@ def cmd_alloc(args: argparse.Namespace) -> int:
     if args.dc is not None and policy == SORT_FIRST:
         return _fail("sort-first packs a clean band; use min-small-change with --dc")
 
-    requests = [Request(i, size) for i, (_, size) in enumerate(items)]
     try:
         if args.dc is not None:
             state = dcr_state(scheme, args.dc)
@@ -192,14 +198,15 @@ def cmd_alloc(args: argparse.Namespace) -> int:
             state = BinState(scheme)
         if args.multistream:
             allocations = []
-            for req in requests:
-                outcome = admit_multistream(state, req)
+            for i, (name, size) in enumerate(items):
+                outcome = admit_multistream(state, i, size)
                 if not outcome.granted:
-                    raise BatchRejected(f"request {items[req.id][0]!r} of size {req.size} "
+                    raise BatchRejected(f"request {name!r} of size {size} "
                                         f"blocked ({outcome.status.value})")
                 allocations.append(outcome.allocation)
         else:
-            allocations = allocate_batch_sync(requests, policy, state=state)
+            allocations = allocate_batch_sync([size for _, size in items], policy,
+                                              state=state)
     except BatchRejected as exc:
         _fail(str(exc))
         return EXIT_BLOCKED
@@ -274,10 +281,7 @@ def cmd_states(args: argparse.Namespace) -> int:
     if m > _RECURRENCE_CAP[mode]:
         return _fail(f"--m {m} is above {_RECURRENCE_CAP[mode]}, the largest m whose "
                      f"{mode} state count prints in under 4300 digits")
-    try:
-        recurrence = f_rec(m) if mode == "fine" else g_rec(m)
-    except ValueError as exc:
-        return _fail(str(exc))
+    recurrence = f_rec(m) if mode == "fine" else g_rec(m)
     payload["recurrence"] = recurrence
     if m <= FINE_ENUM_CAP:
         count = enumerate_fine(m) if mode == "fine" else enumerate_super(m)

@@ -24,11 +24,11 @@ for interleaved subcarrier assignment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 MAX_BAND = 1 << 20  # refuse absurd band sizes before building O(M) tables
+MAX_M = MAX_BAND.bit_length() - 1  # largest m whose band 2**m fits the cap
 
 
 def bit_reverse(k: int, m: int) -> int:
@@ -53,13 +53,16 @@ class RadixScheme:
     def __post_init__(self) -> None:
         if any(p < 2 for p in self.radices):
             raise ValueError(f"radices must all be >= 2, got {self.radices}")
-        if math.prod(self.radices) > MAX_BAND:
-            raise ValueError(f"band size {math.prod(self.radices)} exceeds cap {MAX_BAND}")
+        size = 1
+        for p in self.radices:  # stop early: the whole product may be huge
+            size *= p
+            if size > MAX_BAND:
+                raise ValueError(f"band size exceeds cap {MAX_BAND}")
 
     @classmethod
     def power_of_two(cls, m: int) -> "RadixScheme":
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
+        if not 0 <= m <= MAX_M:
+            raise ValueError(f"m must be in 0..{MAX_M} (band size cap {MAX_BAND}), got {m}")
         return cls(radices=(2,) * m)
 
     @property

@@ -2,11 +2,11 @@
 
 Requests of size 2**n arrive in independent Poisson streams, one per
 size class n, with rate lam / 2**n each, hold their bins for an
-exponential time of mean ``holding_mean``, and are lost if blocked.
-Scaling class-n arrivals by 2**-n makes every class offer the same
-bin-load, so the normalized offered load is
+exponential time of mean 1, and are lost if blocked: every time is in
+units of the mean holding time.  Scaling class-n arrivals by 2**-n makes
+every class offer the same bin-load, so the normalized offered load is
 
-    G = |classes| * lam * holding_mean / 2**m.
+    G = |classes| * lam / 2**m.
 
 Four admission policies are simulated: the two single-stream bin-filling
 policies (``min_small_change``, ``random``), ``multistream`` gathering,
@@ -37,12 +37,11 @@ from .allocator import (
     RANDOM,
     AdmissionStatus,
     BinState,
-    Request,
     admit,
     admit_multistream,
     release,
 )
-from .mapping import MAX_BAND, RadixScheme
+from .mapping import MAX_BAND, MAX_M, RadixScheme
 
 OFDMA = "ofdma"
 MULTISTREAM = "multistream"
@@ -50,8 +49,6 @@ POLICIES = (MIN_SMALL_CHANGE, RANDOM, OFDMA, MULTISTREAM)
 
 CSV_COLUMNS = ("policy", "mix", "G", "P_B", "P_B_ci", "P_f", "P_f_ci", "S",
                "seed", "replications")
-
-MAX_M = MAX_BAND.bit_length() - 1  # largest m whose band 2**m fits the cap
 
 # Most arrivals a config may ask for over all its replications: at the
 # 30k-400k arrivals/s the simulator reaches on a 2-core machine, 2**31
@@ -64,11 +61,6 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be in 0..{MAX_M} (band size cap {MAX_BAND}), got {m}")
 
 
-def _check_holding_mean(holding_mean: float) -> None:
-    if not (math.isfinite(holding_mean) and holding_mean > 0):
-        raise ValueError(f"holding_mean must be finite and > 0, got {holding_mean}")
-
-
 @dataclass(frozen=True)
 class TrafficModel:
     """Poisson size-class mix: class n arrives at lam / 2**n."""
@@ -76,14 +68,12 @@ class TrafficModel:
     m: int
     lam: float
     classes: tuple[int, ...]
-    holding_mean: float = 1.0
     mix: str = "custom"
 
     def __post_init__(self) -> None:
         _check_m(self.m)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        _check_holding_mean(self.holding_mean)
         cl = tuple(sorted(set(self.classes)))
         if not cl:
             raise ValueError("need at least one size class")
@@ -98,13 +88,13 @@ class TrafficModel:
 
     @classmethod
     def full_mix(cls, m: int, *, G: float) -> "TrafficModel":
-        """All classes 0..m at normalized load G, unit holding mean."""
-        return _traffic(m, _MIX_CLASSES["full"](m), "full", 1.0, G)
+        """All classes 0..m at normalized load G."""
+        return _traffic(m, _MIX_CLASSES["full"](m), "full", G)
 
     @classmethod
     def limited_mix(cls, m: int, *, G: float) -> "TrafficModel":
         """Classes 0..m//2 only (no request larger than sqrt of the band) at load G."""
-        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", 1.0, G)
+        return _traffic(m, _MIX_CLASSES["limited"](m), "limited", G)
 
 
 # size classes of each named mix; a range, so that a huge m is rejected
@@ -112,20 +102,18 @@ class TrafficModel:
 _MIX_CLASSES = {"full": lambda m: range(m + 1), "limited": lambda m: range(m // 2 + 1)}
 
 
-def _traffic(m: int, classes: Sequence[int], mix: str, holding_mean: float,
-             G: float) -> TrafficModel:
-    """A TrafficModel at normalized load G: lam = G * 2**m / (|classes| * holding_mean)."""
+def _traffic(m: int, classes: Sequence[int], mix: str, G: float) -> TrafficModel:
+    """A TrafficModel at normalized load G: lam = G * 2**m / |classes|."""
     _check_m(m)
-    _check_holding_mean(holding_mean)
     if not math.isfinite(G):
         raise ValueError(f"G must be finite, got {G}")
-    lam = G * (1 << m) / (len(classes) * holding_mean)
-    return TrafficModel(m, lam, tuple(classes), holding_mean, mix)
+    lam = G * (1 << m) / len(classes)
+    return TrafficModel(m, lam, tuple(classes), mix)
 
 
 def offered_load(traffic: TrafficModel) -> float:
     """Normalized offered load G: total offered bin-load over band size."""
-    return len(traffic.classes) * traffic.lam * traffic.holding_mean / (1 << traffic.m)
+    return len(traffic.classes) * traffic.lam / (1 << traffic.m)
 
 
 @dataclass(frozen=True)
@@ -155,7 +143,7 @@ class SimConfig:
             raise ValueError(
                 f"expects {self.replications * per_rep:.3g} arrivals, above the cap of "
                 f"{MAX_ARRIVALS}: lower replications, warmup_time + measure_time or "
-                f"lam (which G and holding_mean set)")
+                f"lam (which G sets)")
 
 
 @dataclass(frozen=True)
@@ -208,7 +196,7 @@ def _traffic_trace(traffic: TrafficModel, horizon: float, rep_ss: np.random.Seed
         times = times[:k]
         parts_t.append(times)
         parts_n.append(np.full(k, n, dtype=np.int64))
-        parts_h.append(gen.exponential(traffic.holding_mean, size=k))
+        parts_h.append(gen.exponential(1.0, size=k))
     all_t = np.concatenate(parts_t)
     order = np.argsort(all_t, kind="stable")
     words = class_seeds[-1].generate_state(4, np.uint32)
@@ -266,9 +254,9 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
                 granted = occupied + size <= band
             else:
                 if multistream:
-                    outcome = admit_multistream(state, Request(base + i, size))
+                    outcome = admit_multistream(state, base + i, size)
                 else:
-                    outcome = admit(state, Request(base + i, size), policy, adm_rng)
+                    outcome = admit(state, base + i, size, policy, adm_rng)
                 granted = outcome.granted
             if granted:
                 if t > prev_t:
@@ -308,8 +296,7 @@ def run(cfg: SimConfig) -> SimMetrics:
     pb = [_ratio(weights, rep["r_B"], rep["r"]) for rep in reps]
     pf = [_ratio(weights, rep["r_f"], rep["r"]) for rep in reps]
     denom = (1 << m) * cfg.measure_time
-    mg = [sum(w * x for w, x in zip(weights, rep["r"])) * tm.holding_mean / denom
-          for rep in reps]
+    mg = [sum(w * x for w, x in zip(weights, rep["r"])) / denom for rep in reps]
     occ = [rep["occ_area"] / cfg.measure_time for rep in reps]
 
     def total(key: str) -> tuple[int, ...]:
@@ -344,14 +331,15 @@ def build_configs(doc: dict) -> list[SimConfig]:
 
     Required keys: m (int), G (the normalized load, a number or a list),
     policies (a list) and seed (int).  Optional: mix ("full" | "limited")
-    or classes (list of ints), warmup_time, measure_time, replications
-    (int) and holding_mean.  An integral float counts as an int, a bool
-    or string is never a number, and no list may be empty.
+    or classes (list of ints), warmup_time, measure_time (both in units
+    of the mean holding time) and replications (int).  An integral float
+    counts as an int, a bool or string is never a number, and no list may
+    be empty.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     known = {"m", "mix", "classes", "G", "policies", "seed",
-             "warmup_time", "measure_time", "replications", "holding_mean"}
+             "warmup_time", "measure_time", "replications"}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -378,7 +366,6 @@ def build_configs(doc: dict) -> list[SimConfig]:
             raise ValueError(f"config is missing required key {key!r}")
     m = integer("m", doc["m"])
     seed = integer("seed", doc["seed"])
-    holding = number("holding_mean", doc.get("holding_mean", 1.0))
     policies = nonempty("policies", doc["policies"])
     loads = doc["G"]
     loads = nonempty("G", loads) if isinstance(loads, (list, tuple)) else [loads]
@@ -401,7 +388,7 @@ def build_configs(doc: dict) -> list[SimConfig]:
     if "replications" in doc:
         kwargs["replications"] = integer("replications", doc["replications"])
 
-    traffics = [_traffic(m, classes, mix, holding, number("G", x)) for x in loads]
+    traffics = [_traffic(m, classes, mix, number("G", x)) for x in loads]
     return [SimConfig(traffic=t, policy=str(pol), seed=seed, **kwargs)
             for pol in policies for t in traffics]
 

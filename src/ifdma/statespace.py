@@ -20,7 +20,7 @@ arrival-only states as the closure of the arrival edges it recorded.
 The number of states explodes doubly exponentially:
 
     f(0) = 2,  f(m) = f(m-1)**2 + 1          (fine states)
-    g(1) = 4,  g(m) = g(m-1)(g(m-1)+1)/2 + 1 (super states)
+    g(0) = 2,  g(m) = g(m-1)(g(m-1)+1)/2 + 1 (super states)
 
 so enumeration is capped at m = 4 and policy reachability at m = 3.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .allocator import MIN_SMALL_CHANGE, RANDOM, BinState, Request, admit, place, release
+from .allocator import MIN_SMALL_CHANGE, RANDOM, BinState, admit, place, release
 from .mapping import AlignedRange, RadixScheme
 
 FINE_ENUM_CAP = 4
@@ -51,11 +51,11 @@ def f_rec(m: int) -> int:
 
 
 def g_rec(m: int) -> int:
-    """Super-state count by recurrence: g(1) = 4, g(m) = g(m-1)(g(m-1)+1)/2 + 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    g = 4
-    for _ in range(m - 1):
+    """Super-state count by recurrence: g(0) = 2, g(m) = g(m-1)(g(m-1)+1)/2 + 1."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    g = 2
+    for _ in range(m):
         g = g * (g + 1) // 2 + 1
     return g
 
@@ -153,7 +153,7 @@ def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
     rid = max(state.groups, default=-1) + 1
     if policy == MIN_SMALL_CHANGE:
         for n in range(m + 1):
-            outcome = admit(state, Request(rid, 1 << n), MIN_SMALL_CHANGE)
+            outcome = admit(state, rid, 1 << n, MIN_SMALL_CHANGE)
             if outcome.granted:
                 yield outcome.allocation.ranges[0]
                 release(state, rid)
@@ -172,7 +172,7 @@ def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
                     for k in range(1 << (j - n))
                 )
             for start in starts:
-                yield place(state, Request(rid, size), start).ranges[0]
+                yield place(state, rid, size, start).ranges[0]
                 release(state, rid)
     else:
         raise ValueError(f"unknown admission policy {policy!r}")

@@ -21,7 +21,6 @@ from ifdma.allocator import (
     SORT_FIRST,
     AdmissionStatus,
     BinState,
-    Request,
     admit,
     admit_multistream,
     allocate_batch_sync,
@@ -128,16 +127,14 @@ def test_any_feasible_batch_is_granted_in_full():
         scheme = RadixScheme.power_of_two(m)
         for _ in range(10_000):
             sizes = random_size_multiset(rng, m, band)
-            requests = [Request(i, s) for i, s in enumerate(sizes)]
             for policy in (SORT_FIRST, MIN_SMALL_CHANGE):
-                allocs = allocate_batch_sync(requests, policy, scheme=scheme)
-                assert len(allocs) == len(requests)
+                allocs = allocate_batch_sync(sizes, policy, scheme=scheme)
+                assert len(allocs) == len(sizes)
         for _ in range(10_000):
             sizes = random_size_multiset(rng, m, band - 1)
-            requests = [Request(i, s) for i, s in enumerate(sizes)]
             state = dcr_state(scheme, rng.randrange(band))
-            allocs = allocate_batch_sync(requests, MIN_SMALL_CHANGE, state=state)
-            assert len(allocs) == len(requests)
+            allocs = allocate_batch_sync(sizes, MIN_SMALL_CHANGE, state=state)
+            assert len(allocs) == len(sizes)
     assert time.perf_counter() - start < 60.0
 
 
@@ -160,7 +157,7 @@ def run_threshold_trace(rng: Random, scheme: RadixScheme, thr: int,
             size = 1 << rng.randrange(m + 1)
             if load + size >= thr:
                 continue
-            out = admit(state, Request(rid, size), policy, rng)
+            out = admit(state, rid, size, policy, rng)
             assert out.granted, (
                 f"blocked below threshold: m={m} load={load} size={size}")
             active.append((rid, size))
@@ -191,11 +188,11 @@ def test_no_blocking_strictly_below_the_threshold():
         state = BinState(scheme)
         band = 1 << m
         for b in range(band):
-            assert admit(state, Request(b, 1), MIN_SMALL_CHANGE).granted
+            assert admit(state, b, 1, MIN_SMALL_CHANGE).granted
         for b in range(band):
             if b not in pattern:
                 release(state, b)
-        out = admit(state, Request(band, size), MIN_SMALL_CHANGE)
+        out = admit(state, band, size, MIN_SMALL_CHANGE)
         assert not out.granted
         assert out.status is AdmissionStatus.BLOCKED_FRAGMENTATION
         assert state.free_count >= size
@@ -224,7 +221,7 @@ def test_multistream_admission_never_fragments():
                 free += size
             else:
                 size = rng.randrange(1, band + 1)
-                out = admit_multistream(state, Request(rid, size))
+                out = admit_multistream(state, rid, size)
                 if out.granted:
                     active.append((rid, size))
                     free -= size

@@ -12,7 +12,6 @@ from ifdma.allocator import (
     AdmissionStatus,
     BatchRejected,
     BinState,
-    Request,
     admit,
     admit_multistream,
     allocate_batch_sync,
@@ -33,7 +32,7 @@ def occupy(state, *sizes, start_id=0):
     """Admit a run of requests under min_small_change; returns next free id."""
     rid = start_id
     for size in sizes:
-        assert admit(state, Request(rid, size)).granted
+        assert admit(state, rid, size).granted
         rid += 1
     return rid
 
@@ -44,18 +43,18 @@ class TestMinSmallChange:
         state = BinState(M16)
         occupy(state, 1, 1, 8)
         assert free_subsets(state) == [AlignedRange(2, 2), AlignedRange(4, 4)]
-        out = admit(state, Request(10, 2))
+        out = admit(state, 10, 2)
         assert out.granted
         assert out.allocation.ranges == (AlignedRange(2, 2),)
         # A size-4 request in the same starting position goes to {4..7}.
         state2 = BinState(M16)
         occupy(state2, 1, 1, 8)
-        out2 = admit(state2, Request(10, 4))
+        out2 = admit(state2, 10, 4)
         assert out2.allocation.ranges == (AlignedRange(4, 4),)
 
     def test_split_keeps_lower_child(self):
         state = BinState(M8)
-        out = admit(state, Request(0, 1))
+        out = admit(state, 0, 1)
         assert out.allocation.ranges == (AlignedRange(0, 1),)
         assert state.free[0] == {1}
         assert state.free[1] == {2}
@@ -65,17 +64,17 @@ class TestMinSmallChange:
         state = BinState(M8)
         occupy(state, 1, 1, 1)            # bins 0,1,2; free {3} and {4..7}
         release(state, 1)                  # free {1}, {3}, {4..7}
-        out = admit(state, Request(9, 1))
+        out = admit(state, 9, 1)
         assert out.allocation.ranges == (AlignedRange(1, 1),)
 
     def test_overload_vs_fragmentation(self):
         state = BinState(RadixScheme.power_of_two(2))
         occupy(state, 1, 1, 1)             # bins 0,1,2
         release(state, 1)                  # free {1}, {3}
-        out = admit(state, Request(9, 2))
+        out = admit(state, 9, 2)
         assert out.status is AdmissionStatus.BLOCKED_FRAGMENTATION
         assert not out.granted and out.allocation is None
-        out = admit(state, Request(9, 4))
+        out = admit(state, 9, 4)
         assert out.status is AdmissionStatus.BLOCKED_OVERLOAD
 
     def test_release_coalesces(self):
@@ -90,7 +89,7 @@ class TestMinSmallChange:
     def test_allocation_reports_subcarriers(self):
         state = BinState(M8)
         occupy(state, 4, 2)
-        out = admit(state, Request(7, 2))
+        out = admit(state, 7, 2)
         assert out.allocation.ranges == (AlignedRange(6, 2),)
         assert out.allocation.subcarriers == {3, 7}
 
@@ -98,7 +97,7 @@ class TestMinSmallChange:
 class TestRandomPolicy:
     def test_requires_rng(self):
         with pytest.raises(ValueError):
-            admit(BinState(M8), Request(0, 1), RANDOM)
+            admit(BinState(M8), 0, 1, RANDOM)
 
     def test_prefers_exact_size_blocks(self):
         # Free subsets {4} (size 1) and {6,7} (size 2): a size-1 request
@@ -107,7 +106,7 @@ class TestRandomPolicy:
             state = BinState(M8)
             occupy(state, 4, 1)
             assert state.free[0] == {5} and state.free[1] == {6}
-            out = admit(state, Request(5, 1), RANDOM, Random(seed))
+            out = admit(state, 5, 1, RANDOM, Random(seed))
             assert out.allocation.ranges == (AlignedRange(5, 1),)
             assert state.free[1] == {6}
 
@@ -118,7 +117,7 @@ class TestRandomPolicy:
             state = BinState(RadixScheme.power_of_two(2))
             occupy(state, 1, 1, 1)
             release(state, 1)              # free {1} and {3}
-            out = admit(state, Request(9, 1), RANDOM, rng)
+            out = admit(state, 9, 1, RANDOM, rng)
             hits[out.allocation.ranges[0].start] += 1
         assert abs(hits[1] / 2000 - 0.5) < 0.05
 
@@ -129,7 +128,7 @@ class TestRandomPolicy:
         hits = [0, 0, 0, 0]
         for _ in range(4000):
             state = BinState(RadixScheme.power_of_two(2))
-            out = admit(state, Request(0, 1), RANDOM, rng)
+            out = admit(state, 0, 1, RANDOM, rng)
             hits[out.allocation.ranges[0].start] += 1
             check_consistency(state)
         for h in hits:
@@ -139,14 +138,13 @@ class TestRandomPolicy:
         state = BinState(RadixScheme.power_of_two(2))
         occupy(state, 1, 1, 1)
         release(state, 1)
-        out = admit(state, Request(9, 2), RANDOM, Random(0))
+        out = admit(state, 9, 2, RANDOM, Random(0))
         assert out.status is AdmissionStatus.BLOCKED_FRAGMENTATION
 
 
 class TestBatchSortFirst:
     def test_bit_reversal_worked_example(self):
-        reqs = [Request(0, 1), Request(1, 4), Request(2, 2)]
-        allocs = allocate_batch_sync(reqs, SORT_FIRST, M8)
+        allocs = allocate_batch_sync([1, 4, 2], SORT_FIRST, M8)
         assert [a.request_id for a in allocs] == [0, 1, 2]
         assert allocs[1].ranges == (AlignedRange(0, 4),)
         assert allocs[2].ranges == (AlignedRange(4, 2),)
@@ -156,49 +154,43 @@ class TestBatchSortFirst:
         assert allocs[0].subcarriers == {3}
 
     def test_digit_reversal_worked_example(self):
-        reqs = [Request(0, 3), Request(1, 1), Request(2, 6)]
-        allocs = allocate_batch_sync(reqs, SORT_FIRST, M223)
+        allocs = allocate_batch_sync([3, 1, 6], SORT_FIRST, M223)
         assert allocs[2].subcarriers == {0, 4, 8, 2, 6, 10}
         assert allocs[0].subcarriers == {1, 5, 9}
         assert allocs[1].subcarriers == {3}
 
-    def test_size_ties_resolved_by_id(self):
-        reqs = [Request(3, 2), Request(1, 2), Request(2, 4)]
-        allocs = allocate_batch_sync(reqs, SORT_FIRST, M8)
-        by_id = {a.request_id: a for a in allocs}
-        assert by_id[2].ranges == (AlignedRange(0, 4),)
-        assert by_id[1].ranges == (AlignedRange(4, 2),)
-        assert by_id[3].ranges == (AlignedRange(6, 2),)
+    def test_size_ties_resolved_by_position(self):
+        allocs = allocate_batch_sync([2, 2, 4], SORT_FIRST, M8)
+        assert [a.request_id for a in allocs] == [0, 1, 2]
+        assert allocs[2].ranges == (AlignedRange(0, 4),)
+        assert allocs[0].ranges == (AlignedRange(4, 2),)
+        assert allocs[1].ranges == (AlignedRange(6, 2),)
 
     def test_rejects_oversubscription(self):
         with pytest.raises(BatchRejected):
-            allocate_batch_sync([Request(0, 8), Request(1, 1)], SORT_FIRST, M8)
+            allocate_batch_sync([8, 1], SORT_FIRST, M8)
 
     def test_rejects_dirty_band(self):
         state = BinState(M8)
         occupy(state, 1)
         with pytest.raises(ValueError):
-            allocate_batch_sync([Request(9, 2)], SORT_FIRST, state=state)
+            allocate_batch_sync([2], SORT_FIRST, state=state)
 
     def test_requires_scheme_xor_state(self):
         with pytest.raises(ValueError):
-            allocate_batch_sync([Request(0, 1)], SORT_FIRST)
+            allocate_batch_sync([1], SORT_FIRST)
         with pytest.raises(ValueError):
             allocate_batch_sync(
-                [Request(0, 1)], SORT_FIRST, M8, state=BinState(M8)
+                [1], SORT_FIRST, M8, state=BinState(M8)
             )
-
-    def test_unique_ids_required(self):
-        with pytest.raises(ValueError):
-            allocate_batch_sync([Request(0, 1), Request(0, 2)], SORT_FIRST, M8)
 
     def test_disallowed_size(self):
         with pytest.raises(ValueError):
-            allocate_batch_sync([Request(0, 3)], SORT_FIRST, M8)
+            allocate_batch_sync([3], SORT_FIRST, M8)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            allocate_batch_sync([Request(0, 1)], "first_fit", M8)
+            allocate_batch_sync([1], "first_fit", M8)
 
 
 class TestDcr:
@@ -211,13 +203,13 @@ class TestDcr:
 
     def test_full_band_request_is_rejected(self):
         state = dcr_state(M8, 0)
-        out = admit(state, Request(0, 8))
+        out = admit(state, 0, 8)
         assert out.status is AdmissionStatus.BLOCKED_OVERLOAD
 
     def test_batch_up_to_m_minus_one_fits(self):
         state = dcr_state(M8, 4)
         allocs = allocate_batch_sync(
-            [Request(0, 4), Request(1, 2), Request(2, 1)],
+            [4, 2, 1],
             MIN_SMALL_CHANGE,
             state=state,
         )
@@ -228,7 +220,7 @@ class TestDcr:
     def test_dc_subcarrier_never_granted(self):
         state = dcr_state(M8, 5)
         allocs = allocate_batch_sync(
-            [Request(i, 1) for i in range(7)], MIN_SMALL_CHANGE, state=state
+            [1] * 7, MIN_SMALL_CHANGE, state=state
         )
         for a in allocs:
             assert 5 not in a.subcarriers
@@ -239,13 +231,13 @@ class TestMultistream:
         # on a clean band the gather takes the fewest allowed blocks
         for size, scheme, parts in ((7, M8, (4, 2, 1)), (8, M8, (8,)),
                                     (5, M16, (4, 1)), (11, M223, (6, 3, 1, 1))):
-            out = admit_multistream(BinState(scheme), Request(0, size))
+            out = admit_multistream(BinState(scheme), 0, size)
             got = sorted((r.size for r in out.allocation.ranges), reverse=True)
             assert tuple(got) == parts
 
     def test_gather_on_clean_band(self):
         state = BinState(M8)
-        out = admit_multistream(state, Request(0, 7))
+        out = admit_multistream(state, 0, 7)
         assert out.granted
         assert out.allocation.ranges == (
             AlignedRange(0, 4), AlignedRange(4, 2), AlignedRange(6, 1)
@@ -256,11 +248,11 @@ class TestMultistream:
     def test_gather_splits_when_nothing_fits(self):
         state = BinState(M8)
         occupy(state, 1)                   # free {1}, {2,3}, {4..7}
-        out = admit_multistream(state, Request(9, 2))
+        out = admit_multistream(state, 9, 2)
         assert out.allocation.ranges == (AlignedRange(2, 2),)
         state2 = BinState(M8)
         occupy(state2, 4, 2, 1)            # only bin 7 free
-        out2 = admit_multistream(state2, Request(9, 1))
+        out2 = admit_multistream(state2, 9, 1)
         assert out2.allocation.ranges == (AlignedRange(7, 1),)
 
     def test_never_blocked_by_fragmentation(self):
@@ -268,41 +260,41 @@ class TestMultistream:
         occupy(state, 1, 1, 1, 1, 1)
         release(state, 1)
         release(state, 3)
-        out = admit_multistream(state, Request(9, 5))
+        out = admit_multistream(state, 9, 5)
         assert out.granted                # gathered from scattered bins
         check_consistency(state)
-        out2 = admit_multistream(state, Request(10, 1))
+        out2 = admit_multistream(state, 10, 1)
         assert out2.status is AdmissionStatus.BLOCKED_OVERLOAD
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            admit_multistream(BinState(M8), Request(0, 0))
+            admit_multistream(BinState(M8), 0, 0)
         with pytest.raises(ValueError):
-            admit_multistream(BinState(M8), Request(0, 9))
+            admit_multistream(BinState(M8), 0, 9)
 
 
 class TestPlace:
     def test_carves_the_given_block(self):
         state = BinState(M8)
-        alloc = place(state, Request(0, 2), 4)
+        alloc = place(state, 0, 2, 4)
         assert alloc.ranges == (AlignedRange(4, 2),)
         assert free_subsets(state) == [AlignedRange(0, 4), AlignedRange(6, 2)]
         assert state.free_count == 6
         check_consistency(state)
-        alloc = place(BinState(M223), Request(0, 3), 9)
+        alloc = place(BinState(M223), 0, 3, 9)
         assert alloc.ranges == (AlignedRange(9, 3),)
 
     def test_rejects_bad_placements(self):
         state = BinState(M8)
-        place(state, Request(0, 2), 4)
+        place(state, 0, 2, 4)
         with pytest.raises(ValueError):
-            place(state, Request(1, 1), 5)       # held
+            place(state, 1, 1, 5)          # held
         with pytest.raises(ValueError):
-            place(state, Request(1, 2), 1)       # misaligned
+            place(state, 1, 2, 1)          # misaligned
         with pytest.raises(ValueError):
-            place(state, Request(1, 3), 0)       # not an allowed size
+            place(state, 1, 3, 0)          # not an allowed size
         with pytest.raises(ValueError):
-            place(state, Request(0, 1), 0)       # id already active
+            place(state, 0, 1, 0)          # id already active
         check_consistency(state)
 
 
@@ -311,9 +303,9 @@ class TestIdLifecycle:
         state = BinState(M8)
         occupy(state, 1)
         with pytest.raises(ValueError):
-            admit(state, Request(0, 1))
+            admit(state, 0, 1)
         with pytest.raises(ValueError):
-            admit_multistream(state, Request(0, 3))
+            admit_multistream(state, 0, 3)
 
     def test_release_unknown_id(self):
         with pytest.raises(ValueError):
@@ -323,7 +315,7 @@ class TestIdLifecycle:
         state = BinState(M8)
         occupy(state, 2)
         release(state, 0)
-        assert admit(state, Request(0, 4)).granted
+        assert admit(state, 0, 4).granted
 
 
 # -- trace properties ---------------------------------------------------------
@@ -358,15 +350,14 @@ def batches(draw, max_total=None):
 def test_full_loading_property(batch, policy):
     """Any batch with total size <= M is granted in full, without overlap."""
     scheme, sizes = batch
-    reqs = [Request(i, s) for i, s in enumerate(sizes)]
-    allocs = allocate_batch_sync(reqs, policy, scheme)
+    allocs = allocate_batch_sync(sizes, policy, scheme)
     claimed: set[int] = set()
     subs: set[int] = set()
-    for req, alloc in zip(reqs, allocs):
-        assert alloc.request_id == req.id
-        assert alloc.size == req.size
+    for i, (size, alloc) in enumerate(zip(sizes, allocs, strict=True)):
+        assert alloc.request_id == i
+        assert alloc.size == size
         bins = {b for r in alloc.ranges for b in r.bins()}
-        assert len(bins) == req.size and not bins & claimed
+        assert len(bins) == size and not bins & claimed
         claimed |= bins
         assert not alloc.subcarriers & subs
         subs |= alloc.subcarriers
@@ -395,9 +386,9 @@ def run_trace(scheme, ops, policy, rng=None, multistream=False, blocked=()):
         if op == "admit":
             size = scheme.block_sizes[min(arg, scheme.levels)]
             if multistream:
-                out = admit_multistream(state, Request(next_id, size))
+                out = admit_multistream(state, next_id, size)
             else:
-                out = admit(state, Request(next_id, size), policy, rng)
+                out = admit(state, next_id, size, policy, rng)
             if out.granted:
                 active.append(next_id)
                 next_id += 1
@@ -458,7 +449,7 @@ def test_min_bounds_free_subsets_per_size(trace):
             # arrival-only histories, so stop the trace at the first one.
             break
         size = scheme.block_sizes[min(arg, scheme.levels)]
-        if admit(state, Request(next_id, size)).granted:
+        if admit(state, next_id, size).granted:
             next_id += 1
         for j in range(scheme.levels):
             assert len(state.free[j]) <= state._fanout[j] - 1
@@ -484,7 +475,7 @@ def test_multistream_grants_iff_capacity(m_requests, seed):
             continue
         size = rng.randrange(1, scheme.size + 1)
         free_before = state.free_count
-        out = admit_multistream(state, Request(next_id, size))
+        out = admit_multistream(state, next_id, size)
         assert out.granted == (free_before >= size)
         if out.granted:
             total = sum(r.size for r in out.allocation.ranges)

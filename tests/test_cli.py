@@ -105,6 +105,20 @@ def test_malformed_radices_is_a_one_line_usage_error(capsys, command, radices):
     assert err.startswith("error: --radices") and "2,2,3" in err
 
 
+@pytest.mark.parametrize("command", [["map"], ["alloc", "--requests", "A:1"]])
+@pytest.mark.parametrize("band", [
+    *(pytest.param(["--m", m], id=f"--m-{m}") for m in ("100000", "1600000", "99999999999")),
+    pytest.param(["--radices", ",".join(["2"] * 30000)], id="--radices-2x30000"),
+])
+def test_band_above_cap_is_a_one_line_usage_error(capsys, command, band):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, *band)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and f"cap {2**20}" in err
+
+
 class TestAlloc:
     def test_sort_first_batch(self, capsys):
         code, out, _ = run_cli(
@@ -195,10 +209,20 @@ class TestAlloc:
         ([{"name": "A", "size": True}], "positive integer size"),
         ([{"name": "A", "size": 1.0}], "positive integer size"),
         ([{"name": "A", "size": 1}, {"name": "A", "size": 4}], "names must be unique"),
+        # raw file contents: not JSON, not UTF-8, an integer int() refuses, nesting too deep
+        pytest.param(b"# ifdma\n", "cannot read requests file", id="not-json"),
+        pytest.param(b"\xff\xfe[]", "cannot read requests file", id="not-utf8"),
+        pytest.param(b'[{"name": "A", "size": ' + b"9" * 5000 + b"}]",
+                     "cannot read requests file", id="size-9x5000"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, "cannot read requests file",
+                     id="nested-1e5"),
     ])
     def test_requests_from_bad_json_file(self, capsys, tmp_path, data, complaint):
         path = tmp_path / "reqs.json"
-        path.write_text(json.dumps(data))
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "alloc", "--m", "3", "--requests", f"@{path}")
         assert code == 2
         assert out == ""
@@ -211,10 +235,29 @@ class TestAlloc:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("spec, item", [
+        ("A:1e3", "'A:1e3'"), ("A:", "'A:'"), ("A: ", "'A: '"), ("A:+3", "'A:+3'"),
+        ("A:\u00b2", "'A:\u00b2'"), ("A:1,B:0x10", "'B:0x10'"),
+        pytest.param("A:" + "9" * 5000, "'A'", id="A:9x5000"),
+    ])
+    def test_malformed_request_size(self, capsys, spec, item):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "alloc", "--m", "3", "--requests", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and item in err and "name:size" in err
+
+    def test_inline_requests_may_be_padded(self, capsys):
+        assert run_cli(capsys, "alloc", "--m", "3", "--requests", " A: 4 , B :2") == \
+            run_cli(capsys, "alloc", "--m", "3", "--requests", "A:4,B:2")
+
     def test_missing_requests_file(self, capsys):
         code, _, err = run_cli(capsys, "alloc", "--m", "3",
                                "--requests", "@/no/such/file.json")
         assert code == 2
+        assert err.startswith("error: cannot read requests file /no/such/file.json: ")
+        assert len(err.splitlines()) == 1
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -433,9 +476,10 @@ class TestStates:
         assert code == 0
         assert "recurrence" in out and "skipped" in out
 
-    def test_super_rejects_empty_band(self, capsys):
-        code, _, err = run_cli(capsys, "states", "--m", "0", "--mode", "super")
-        assert code == 2
+    def test_super_empty_band_agrees(self, capsys):
+        code, out, _ = run_cli(capsys, "states", "--m", "0", "--mode", "super")
+        assert code == 0
+        assert out.strip() == "super states m=0: recurrence 2, enumerated 2 AGREE"
 
     def test_negative_m(self, capsys):
         code, _, err = run_cli(capsys, "states", "--m", "-1")

@@ -101,6 +101,8 @@ class TestRadixScheme:
         RadixScheme((2,) * 20)  # exactly MAX_BAND is fine
         with pytest.raises(ValueError):
             RadixScheme((2,) * 21)
+        with pytest.raises(ValueError):
+            RadixScheme.power_of_two(21)
         assert MAX_BAND == 1 << 20
 
     def test_level_of(self):

@@ -10,7 +10,6 @@ from ifdma.allocator import (
     AdmissionStatus,
     BatchRejected,
     BinState,
-    Request,
     admit,
     allocate_batch_sync,
     dcr_state,
@@ -22,9 +21,8 @@ from ifdma.statespace import _arrivals, state_tree
 
 
 def batch_fits(sizes: list[int], state: BinState, policy: str) -> bool:
-    requests = [Request(i, size) for i, size in enumerate(sizes)]
     try:
-        allocate_batch_sync(requests, policy, state=state)
+        allocate_batch_sync(sizes, policy, state=state)
     except BatchRejected:
         return False
     return True
@@ -68,7 +66,7 @@ class TestLoadPredicates:
                 for state in frontier:
                     for n in range(m + 1):
                         size = 1 << n
-                        if not admit(state.clone(), Request(band, size)).granted:
+                        if not admit(state.clone(), band, size).granted:
                             load = band - state.free_count + size
                             least = load if least is None else min(least, load)
                     # the random policy reaches every placement; clone each
@@ -111,11 +109,11 @@ class TestWorstCase:
         scheme = RadixScheme.power_of_two(m)
         state = BinState(scheme)
         for k in range(scheme.size):
-            assert admit(state, Request(k, 1)).granted
+            assert admit(state, k, 1).granted
         for k in range(scheme.size):
             if k not in bins:
                 release(state, k)
-        out = admit(state, Request(scheme.size, size))
+        out = admit(state, scheme.size, size)
         assert not out.granted
         free_cnt = (1 << m) - (1 << (m - n))
         if free_cnt >= size:

@@ -3,9 +3,12 @@
 Every ``ifdma`` command in its sh blocks runs and exits 0, with the
 README's ``requests.json`` block in the working directory; its sim config
 block passes ``build_configs``.  Only ``--config`` commands are left out:
-the example sweep takes minutes.
+the example sweep takes minutes.  Every python block runs, and an
+expression line with a trailing comment, ``expr  # value``, asserts that
+expr equals the value shown.
 """
 
+import ast
 import json
 import re
 import shlex
@@ -34,6 +37,25 @@ def readme_json(kind: type):
     """The one json block of the given top-level type."""
     (doc,) = [doc for doc in map(json.loads, readme_blocks("json")) if isinstance(doc, kind)]
     return doc
+
+
+def checked_session(block: str) -> str:
+    """The block with each ``expr  # value`` line turned into an assertion."""
+    lines = []
+    for line in block.splitlines():
+        code, hash_, shown = line.partition("#")
+        body = ast.parse(code).body if hash_ else []
+        if len(body) == 1 and isinstance(body[0], ast.Expr):
+            line = f"assert ({code.strip()}) == ({shown.strip()}), {code.strip()!r}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_readme_python_sessions_run_as_shown():
+    sessions = [checked_session(block) for block in readme_blocks("python")]
+    assert sum(session.count("assert (") for session in sessions) >= 1
+    for session in sessions:
+        exec(compile(session, str(README), "exec"), {})
 
 
 def test_readme_shows_commands():

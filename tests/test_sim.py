@@ -72,8 +72,6 @@ class TestTrafficModel:
         with pytest.raises(ValueError):
             TrafficModel(3, -0.5, (0, 1))
         with pytest.raises(ValueError):
-            TrafficModel(3, 1.0, (0, 1), holding_mean=0.0)
-        with pytest.raises(ValueError):
             TrafficModel(3, 1.0, ())
         with pytest.raises(ValueError):
             TrafficModel(3, 1.0, (1, 0))
@@ -252,13 +250,11 @@ class TestBuildConfigs:
         assert cfgs[0].traffic.mix == "custom"
 
     def test_optional_knobs_pass_through(self):
-        doc = dict(self.BASE, warmup_time=5, measure_time=50, replications=2,
-                   holding_mean=2.0)
+        doc = dict(self.BASE, warmup_time=5, measure_time=50, replications=2)
         cfg = build_configs(doc)[0]
         assert cfg.warmup_time == 5.0
         assert cfg.measure_time == 50.0
         assert cfg.replications == 2
-        assert cfg.traffic.holding_mean == 2.0
 
     def test_integral_floats_count_as_ints(self):
         doc = dict(self.BASE, m=3.0, seed=42.0, replications=2.0, classes=[0.0, 2.0])

@@ -10,7 +10,6 @@ from ifdma.allocator import (
     MIN_SMALL_CHANGE,
     RANDOM,
     BinState,
-    Request,
     admit,
     admit_multistream,
     check_consistency,
@@ -33,7 +32,7 @@ from ifdma.statespace import (
 )
 
 FINE_COUNTS = {0: 2, 1: 5, 2: 26, 3: 677, 4: 458330}
-SUPER_COUNTS = {1: 4, 2: 11, 3: 67, 4: 2279}
+SUPER_COUNTS = {0: 2, 1: 4, 2: 11, 3: 67, 4: 2279}
 
 
 class TestRecurrences:
@@ -49,7 +48,8 @@ class TestRecurrences:
         with pytest.raises(ValueError):
             f_rec(-1)
         with pytest.raises(ValueError):
-            g_rec(0)
+            g_rec(-1)
+        assert g_rec(0) == 2
 
     @given(st.integers(0, 8))
     def test_growth_is_doubly_exponential(self, m):
@@ -102,17 +102,14 @@ def canonical(tree: str) -> str:
 
 class TestCanonicalForm:
     def test_counts_match_recurrence(self):
-        for m in range(1, 4):
+        for m in range(4):
             assert enumerate_super(m) == g_rec(m)
-        assert enumerate_super(0) == 2
 
     def test_matches_canonicalized_fine_states(self):
         assert canonical("((OF)(FO))") == canonical("((FO)(OF))") == "((FO)(FO))"
         for m in range(4):
             want = len({canonical(tree) for tree in fine_states(m)})
-            assert enumerate_super(m) == want
-            if m >= 1:
-                assert g_rec(m) == want
+            assert enumerate_super(m) == want == g_rec(m)
 
 
 class TestStateTree:
@@ -120,14 +117,14 @@ class TestStateTree:
         scheme = RadixScheme.power_of_two(2)
         state = BinState(scheme)
         assert state_tree(state) == "F"
-        admit(state, Request(0, 4))
+        admit(state, 0, 4)
         assert state_tree(state) == "O"
 
     def test_partial_occupancy(self):
         scheme = RadixScheme.power_of_two(2)
         state = BinState(scheme)
-        admit(state, Request(0, 2))
-        admit(state, Request(1, 1))
+        admit(state, 0, 2)
+        admit(state, 1, 1)
         assert state_tree(state) == "(O(OF))"
         release(state, 0)
         assert state_tree(state) == "(F(OF))"
@@ -135,10 +132,10 @@ class TestStateTree:
     def test_two_singles_differ_from_one_pair(self):
         scheme = RadixScheme.power_of_two(1)
         pair = BinState(scheme)
-        admit(pair, Request(0, 2))
+        admit(pair, 0, 2)
         singles = BinState(scheme)
-        admit(singles, Request(0, 1))
-        admit(singles, Request(1, 1))
+        admit(singles, 0, 1)
+        admit(singles, 1, 1)
         assert state_tree(pair) == "O"
         assert state_tree(singles) == "(OO)"
 
@@ -160,7 +157,7 @@ class TestStateTree:
         next_id = 0
         for is_admit, arg in ops:
             if is_admit:
-                if admit(state, Request(next_id, 1 << arg)).granted:
+                if admit(state, next_id, 1 << arg).granted:
                     active.append(next_id)
                     next_id += 1
             elif active:
@@ -282,10 +279,10 @@ def test_free_list_readers_match_bitmap_reference(m, dc, seed, ops):
                 release(state, sorted(state.groups)[arg % len(state.groups)])
         else:
             if kind == "multi":
-                out = admit_multistream(state, Request(next_id, arg % scheme.size + 1))
+                out = admit_multistream(state, next_id, arg % scheme.size + 1)
             else:
                 policy = MIN_SMALL_CHANGE if kind == "min" else RANDOM
-                out = admit(state, Request(next_id, 1 << (arg % (m + 1))), policy, rng)
+                out = admit(state, next_id, 1 << (arg % (m + 1)), policy, rng)
             next_id += out.granted
         check_consistency(state)
         assert state_tree(state) == reference_tree(state)
@@ -306,12 +303,12 @@ def reference_arrival_successors(state: BinState, policy: str) -> list[BinState]
     if policy == MIN_SMALL_CHANGE:
         for n in range(state.scheme.levels + 1):
             nxt = state.clone()
-            if admit(nxt, Request(rid, 1 << n)).granted:
+            if admit(nxt, rid, 1 << n).granted:
                 out.append(nxt)
     else:
         for size, start in reference_random_starts(state):
             nxt = state.clone()
-            place(nxt, Request(rid, size), start)
+            place(nxt, rid, size, start)
             out.append(nxt)
     return out
 

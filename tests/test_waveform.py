@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ifdma.allocator import BinState, Request, admit_multistream
+from ifdma.allocator import BinState, admit_multistream
 from ifdma.mapping import RadixScheme
 from ifdma.waveform import (
     StreamSpec,
@@ -136,7 +136,7 @@ class TestSpecsForAllocation:
     def test_gathered_request_becomes_disjoint_streams(self):
         scheme = RadixScheme.power_of_two(3)
         state = BinState(scheme)
-        out = admit_multistream(state, Request(0, 7))
+        out = admit_multistream(state, 0, 7)
         rng = np.random.default_rng(11)
         blocks = [random_symbols(rng, r.size) for r in out.allocation.ranges]
         specs = specs_for_allocation(out.allocation, blocks)
@@ -149,13 +149,13 @@ class TestSpecsForAllocation:
     def test_block_count_must_match(self):
         scheme = RadixScheme.power_of_two(3)
         state = BinState(scheme)
-        out = admit_multistream(state, Request(0, 6))
+        out = admit_multistream(state, 0, 6)
         with pytest.raises(ValueError):
             specs_for_allocation(out.allocation, [np.ones(6)])
 
     def test_block_sizes_must_match(self):
         scheme = RadixScheme.power_of_two(3)
         state = BinState(scheme)
-        out = admit_multistream(state, Request(0, 6))
+        out = admit_multistream(state, 0, 6)
         with pytest.raises(ValueError):
             specs_for_allocation(out.allocation, [np.ones(4), np.ones(4)])
