@@ -13,6 +13,12 @@ it frees every part of a claimed block except the chain of children
 that leads to a target block.  ``BinState._release_block`` is the only
 coalesce.  ``_commit`` is the only place a grant is recorded.
 
+A grant builds little per event.  A band has at most 2*M aligned
+blocks, so ``BinState`` builds the ``AlignedRange`` of each block the
+first time it is granted and hands out that same immutable record
+afterwards; clones share the table.  Levels are read from the scheme's
+``level_by_size`` map, and an ``AdmissionOutcome`` is a named tuple.
+
 Admission policies for a single request of an allowed size:
 
 * ``min_small_change`` takes the smallest adequate free block (ties by
@@ -33,9 +39,11 @@ several allowed-size blocks, so it never blocks on fragmentation.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
+from typing import NamedTuple
 
 from .mapping import AlignedRange, RadixScheme, bin_for_subcarrier, range_to_subcarriers
 
@@ -74,8 +82,7 @@ class Allocation:
         return out
 
 
-@dataclass(frozen=True)
-class AdmissionOutcome:
+class AdmissionOutcome(NamedTuple):
     status: AdmissionStatus
     allocation: Allocation | None = None
 
@@ -88,17 +95,33 @@ _BLOCKED_OVERLOAD = AdmissionOutcome(AdmissionStatus.BLOCKED_OVERLOAD)
 _BLOCKED_FRAGMENTATION = AdmissionOutcome(AdmissionStatus.BLOCKED_FRAGMENTATION)
 
 
+class _RangeTable(dict):
+    """The ``AlignedRange`` of every block of one level, built on first use."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, start: int) -> AlignedRange:
+        r = self[start] = AlignedRange(start, self.size)
+        return r
+
+
 class BinState:
     """Occupancy of one band: active allocations, blocked bins, free lists."""
 
     __slots__ = ("scheme", "free", "free_count", "groups", "blocked",
-                 "_sizes", "_fanout", "_top")
+                 "_sizes", "_fanout", "_top", "_levels", "_ranges")
 
     def __init__(self, scheme: RadixScheme, blocked_bins: tuple[int, ...] = ()):
         self.scheme = scheme
         self._sizes = scheme.block_sizes
         self._fanout = scheme.inner_radices
         self._top = scheme.levels
+        self._levels = scheme.level_by_size
+        self._ranges = tuple(_RangeTable(size) for size in self._sizes)
         self.free: list[set[int]] = [set() for _ in range(self._top + 1)]
         self.free[self._top].add(0)
         self.free_count = scheme.size
@@ -116,6 +139,8 @@ class BinState:
         other._sizes = self._sizes
         other._fanout = self._fanout
         other._top = self._top
+        other._levels = self._levels
+        other._ranges = self._ranges
         other.free = [set(fs) for fs in self.free]
         other.free_count = self.free_count
         other.groups = dict(self.groups)
@@ -249,7 +274,10 @@ def admit(
     rng: Random | None = None,
 ) -> AdmissionOutcome:
     """Place request ``request_id`` of one allowed size, or report why it blocked."""
-    n = state.scheme.level_of(size)
+    try:
+        n = state._levels[size]
+    except (KeyError, TypeError):  # TypeError: an unhashable size
+        n = state.scheme.level_of(size)  # raises the ValueError that names the sizes
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
     if policy == MIN_SMALL_CHANGE:
@@ -264,7 +292,7 @@ def admit(
         if state.free_count < size:
             return _BLOCKED_OVERLOAD
         return _BLOCKED_FRAGMENTATION
-    return _commit(state, request_id, (AlignedRange(start, size),), size)
+    return _commit(state, request_id, (state._ranges[n][start],), size)
 
 
 def place(state: BinState, request_id: int, size: int, start: int) -> Allocation:
@@ -281,10 +309,10 @@ def release(state: BinState, request_id: int) -> None:
     ranges = state.groups.pop(request_id, None)
     if ranges is None:
         raise ValueError(f"request id {request_id} is not active")
-    level_of = state.scheme.level_of
+    levels = state._levels  # every held range has an allowed size
     for r in ranges:
         state.free_count += r.size
-        state._release_block(r.start, level_of(r.size))
+        state._release_block(r.start, levels[r.size])
 
 
 def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionOutcome:
@@ -304,17 +332,21 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
         return _BLOCKED_OVERLOAD
     free = state.free
     sizes = state._sizes
+    ranges = state._ranges
     remaining = size
     taken: list[AlignedRange] = []
     while remaining:
-        fit = state._top
-        while sizes[fit] > remaining:
-            fit -= 1
-        j = next((jj for jj in range(fit, -1, -1) if free[jj]), fit)
+        fit = bisect_right(sizes, remaining) - 1  # the largest size <= remaining
+        j = fit
+        while j >= 0 and not free[j]:
+            j -= 1
+        if j < 0:  # only larger blocks are free: split one as min_small_change would
+            j = fit
         start = state._take_min(j)
-        taken.append(AlignedRange(start, sizes[j]))
+        taken.append(ranges[j][start])
         remaining -= sizes[j]
-    taken.sort(key=lambda r: r.start)
+    if len(taken) > 1:
+        taken.sort(key=lambda r: r.start)
     return _commit(state, request_id, tuple(taken), size)
 
 

@@ -231,7 +231,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON, bytes or digits; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail(f"cannot read config {args.config}: {exc}")
     try:
         configs = build_configs(doc)

@@ -24,8 +24,10 @@ for interleaved subcarrier assignment.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 MAX_BAND = 1 << 20  # refuse absurd band sizes before building O(M) tables
 MAX_M = MAX_BAND.bit_length() - 1  # largest m whose band 2**m fits the cap
@@ -102,13 +104,14 @@ class RadixScheme:
         return tuple(weights)
 
     @cached_property
-    def _level_by_size(self) -> dict[int, int]:
-        return {size: j for j, size in enumerate(self.block_sizes)}
+    def level_by_size(self) -> Mapping[int, int]:
+        """Read-only map from each allowed block size to its level j."""
+        return MappingProxyType({size: j for j, size in enumerate(self.block_sizes)})
 
     def level_of(self, size: int) -> int:
         """Index j with block_sizes[j] == size, or ValueError."""
         try:
-            return self._level_by_size[size]
+            return self.level_by_size[size]
         except (KeyError, TypeError):  # TypeError: an unhashable size
             raise ValueError(
                 f"size {size} is not fillable under radices {self.radices}; "

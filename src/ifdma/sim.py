@@ -51,7 +51,7 @@ CSV_COLUMNS = ("policy", "mix", "G", "P_B", "P_B_ci", "P_f", "P_f_ci", "S",
                "seed", "replications")
 
 # Most arrivals a config may ask for over all its replications: at the
-# 30k-400k arrivals/s the simulator reaches on a 2-core machine, 2**31
+# 50k-480k arrivals/s the simulator reaches on a 2-core machine, 2**31
 # arrivals already take hours.
 MAX_ARRIVALS = 1 << 31
 

@@ -298,6 +298,50 @@ class TestPlace:
         check_consistency(state)
 
 
+class TestOutcomeAndRangeContract:
+    """What callers may rely on however cheaply a grant is built."""
+
+    def test_outcomes_are_immutable(self):
+        state = BinState(M8)
+        granted = admit(state, 0, 1)      # bin 0
+        place(state, 1, 1, 4)             # bin 4: 6 bins free, no free block of 4
+        frag = admit(state, 2, 4)
+        over = admit(state, 3, 8)
+        assert (frag.status, over.status) == (AdmissionStatus.BLOCKED_FRAGMENTATION,
+                                              AdmissionStatus.BLOCKED_OVERLOAD)
+        assert admit(state, 4, 4) is frag  # blocked outcomes are shared
+        for out in (granted, frag, over):
+            with pytest.raises(AttributeError):
+                out.status = AdmissionStatus.GRANTED
+            with pytest.raises(AttributeError):
+                out.allocation = None
+        assert frag.status is AdmissionStatus.BLOCKED_FRAGMENTATION
+        assert frag.allocation is None and not frag.granted
+
+    @pytest.mark.parametrize("size", [3, [4]], ids=["disallowed", "unhashable"])
+    def test_bad_size_raises_what_level_of_raises(self, size):
+        with pytest.raises(ValueError) as expected:
+            M8.level_of(size)
+        for policy, rng in ((MIN_SMALL_CHANGE, None), (RANDOM, Random(0))):
+            with pytest.raises(ValueError) as got:
+                admit(BinState(M8), 0, size, policy, rng)
+            assert str(got.value) == str(expected.value)
+
+    def test_regrant_carries_an_equal_range(self):
+        state = BinState(M223)
+        first = admit(state, 0, 3).allocation.ranges
+        release(state, 0)
+        clone = state.clone()
+        again = admit(state, 1, 3).allocation.ranges
+        in_clone = admit(clone, 1, 3).allocation.ranges
+        assert first == again == in_clone == (AlignedRange(0, 3),)
+        release(state, 1)
+        assert place(state, 2, 3, 0).ranges == first
+        with pytest.raises(ValueError, match="not aligned"):
+            place(state, 3, 3, 4)
+        check_consistency(state)
+
+
 class TestIdLifecycle:
     def test_double_admit_same_id(self):
         state = BinState(M8)
@@ -457,6 +501,55 @@ def test_min_bounds_free_subsets_per_size(trace):
         if scheme.is_power_of_two:
             sizes = [r.size for r in free_subsets(state)]
             assert len(sizes) == len(set(sizes))
+
+
+def linear_scan_gather(state, size):
+    """Reference gather: scan down from the top level for the largest fit."""
+    free, sizes = state.free, state._sizes
+    remaining = size
+    taken = []
+    while remaining:
+        fit = state._top
+        while sizes[fit] > remaining:
+            fit -= 1
+        j = next((jj for jj in range(fit, -1, -1) if free[jj]), fit)
+        start = state._take_min(j)
+        taken.append(AlignedRange(start, sizes[j]))
+        remaining -= sizes[j]
+    return tuple(sorted(taken, key=lambda r: r.start))
+
+
+@st.composite
+def gather_traces(draw):
+    scheme = draw(st.sampled_from(
+        [RadixScheme.power_of_two(m) for m in range(1, 6)]
+        + [RadixScheme((2, 3, 2)), RadixScheme((3, 2)), RadixScheme((5,))]))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("admit"), st.integers(1, scheme.size)),
+        st.tuples(st.just("release"), st.integers(0, 60))), max_size=40))
+    return scheme, ops
+
+
+@given(gather_traces())
+@settings(max_examples=150)
+def test_multistream_matches_linear_scan_gather(trace):
+    """Gathers of any size 1..M place exactly what the reference scan places."""
+    scheme, ops = trace
+    state = BinState(scheme)
+    active: list[int] = []
+    for rid, (op, arg) in enumerate(ops):
+        if op == "admit":
+            ref = state.clone()
+            out = admit_multistream(state, rid, arg)
+            if ref.free_count >= arg:
+                assert out.allocation.ranges == linear_scan_gather(ref, arg)
+                assert state.free == ref.free
+                active.append(rid)
+            else:
+                assert out.status is AdmissionStatus.BLOCKED_OVERLOAD
+        elif active:
+            release(state, active.pop(arg % len(active)))
+        check_consistency(state)
 
 
 @given(st.integers(2, 64), st.integers(0, 2**32 - 1))

@@ -325,6 +325,22 @@ class TestSim:
                                "--out", str(tmp_path / "o.csv"))
         assert code == 2
 
+    # raw file contents: nesting too deep, not UTF-8, an integer int() refuses
+    @pytest.mark.parametrize("data", [
+        pytest.param(b'{"m": ' + b"[" * 100000 + b"]" * 100000 + b"}", id="nested-1e5"),
+        pytest.param(b'{"m": 2, "mix": "\xff\xfe"}', id="not-utf8"),
+        pytest.param(b'{"m": ' + b"9" * 5000 + b"}", id="m-9x5000"),
+    ])
+    def test_unreadable_config_contents(self, capsys, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "sim", "--config", str(path),
+                                 "--out", str(tmp_path / "o.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("old, new", [("policies", "policy"), ("G", "lam")])
     def test_removed_spelling_is_a_one_line_usage_error(self, capsys, tmp_path, old, new):
         doc = dict(self.CONFIG)

@@ -118,6 +118,13 @@ class TestRadixScheme:
         with pytest.raises(ValueError, match=msg):
             s.level_of([3])  # unhashable
 
+    def test_level_by_size_is_read_only(self):
+        s = RadixScheme((2, 2, 3))
+        assert dict(s.level_by_size) == {1: 0, 3: 1, 6: 2, 12: 3}
+        assert s.level_by_size is s.level_by_size  # built once, not copied
+        with pytest.raises(TypeError):
+            s.level_by_size[2] = 1
+
 
 class TestDigitReverse:
     def test_table_m8(self):
