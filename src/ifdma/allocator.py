@@ -351,13 +351,9 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
 
 
 def allocate_batch_sync(
-    sizes: list[int],
-    policy: str = SORT_FIRST,
-    scheme: RadixScheme | None = None,
-    *,
-    state: BinState | None = None,
+    state: BinState, sizes: list[int], policy: str = SORT_FIRST
 ) -> list[Allocation]:
-    """Place a whole batch; request i has size ``sizes[i]`` and id i.
+    """Place a whole batch on ``state``; request i has size ``sizes[i]`` and id i.
 
     Returns the allocations in input order.  Both policies admit every
     request through ``min_small_change``.  ``min_small_change`` admits in
@@ -370,11 +366,6 @@ def allocate_batch_sync(
     one at pos.  A batch whose total size exceeds the free capacity raises
     BatchRejected.
     """
-    if (scheme is None) == (state is None):
-        raise ValueError("provide exactly one of scheme or state")
-    if state is None:
-        assert scheme is not None
-        state = BinState(scheme)
     for size in sizes:
         state.scheme.level_of(size)
     total = sum(sizes)

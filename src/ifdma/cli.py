@@ -73,6 +73,25 @@ def _policy(flag: str) -> str:
     return flag.replace("-", "_")
 
 
+def _load_json(path: str, what: str):
+    """The JSON document in a file, or a ValueError that names the file as ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError: bad JSON, bytes or digits; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _capped_int(digits: str, error: str) -> int:
+    """int() of a string of ASCII digits, or ValueError(error) when it has
+    more digits than the band size cap and so exceeds it."""
+    # int() of a long digit string is slow and errors past 4300 digits
+    if len(digits.lstrip("0")) > len(str(MAX_BAND)):
+        raise ValueError(error)
+    return int(digits)
+
+
 def _scheme_from(args: argparse.Namespace) -> RadixScheme:
     if args.radices is not None:
         parts = [p.strip() for p in args.radices.split(",")]
@@ -81,11 +100,8 @@ def _scheme_from(args: argparse.Namespace) -> RadixScheme:
                 f"--radices needs a comma-separated list of integers, e.g. 2,2,3; "
                 f"got {args.radices!r}"
             )
-        # int() of a long digit string is slow and errors past 4300 digits
-        if any(len(p.lstrip("0")) > len(str(MAX_BAND)) for p in parts):
-            raise ValueError(f"--radices entries must not exceed the band size cap "
-                             f"{MAX_BAND}, e.g. 2,2,3")
-        return RadixScheme(tuple(int(p) for p in parts))
+        error = f"--radices entries must not exceed the band size cap {MAX_BAND}, e.g. 2,2,3"
+        return RadixScheme(tuple(_capped_int(p, error) for p in parts))
     return RadixScheme.power_of_two(args.m)
 
 
@@ -136,12 +152,7 @@ def _parse_requests(spec: str) -> list[tuple[str, int]]:
     """(name, size) pairs from an inline ``A:1,B:4`` list, or from ``@file``
     holding a JSON list of ``{"name": ..., "size": ...}`` records."""
     if spec.startswith("@"):
-        try:
-            with open(spec[1:], encoding="utf-8") as fh:
-                data = json.load(fh)
-        # ValueError: bad JSON, bytes or digits; RecursionError: nesting too deep
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ValueError(f"cannot read requests file {spec[1:]}: {exc}") from None
+        data = _load_json(spec[1:], "requests file")
         if not (isinstance(data, list) and all(
                 isinstance(d, dict) and {"name", "size"} <= d.keys() for d in data)):
             raise ValueError('requests file must hold a list of '
@@ -154,11 +165,9 @@ def _parse_requests(spec: str) -> list[tuple[str, int]]:
             name, size = name.strip(), size.strip()
             if not (sep and name and size.isascii() and size.isdigit()):
                 raise ValueError(f"bad request {part!r}, want name:size with an integer size")
-            # int() of a long digit string is slow and errors past 4300 digits
-            if len(size.lstrip("0")) > len(str(MAX_BAND)):
-                raise ValueError(f"request {name!r} has a size above the band size cap "
-                                 f"{MAX_BAND}, want name:size")
-            items.append((name, int(size)))
+            error = (f"request {name!r} has a size above the band size cap {MAX_BAND}, "
+                     "want name:size")
+            items.append((name, _capped_int(size, error)))
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
         raise ValueError("request names must be unique")
@@ -205,8 +214,7 @@ def cmd_alloc(args: argparse.Namespace) -> int:
                                         f"blocked ({outcome.status.value})")
                 allocations.append(outcome.allocation)
         else:
-            allocations = allocate_batch_sync([size for _, size in items], policy,
-                                              state=state)
+            allocations = allocate_batch_sync(state, [size for _, size in items], policy)
     except BatchRejected as exc:
         _fail(str(exc))
         return EXIT_BLOCKED
@@ -229,19 +237,17 @@ def cmd_alloc(args: argparse.Namespace) -> int:
 
 def cmd_sim(args: argparse.Namespace) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    # ValueError: bad JSON, bytes or digits; RecursionError: nesting too deep
-    except (OSError, ValueError, RecursionError) as exc:
-        return _fail(f"cannot read config {args.config}: {exc}")
+        doc = _load_json(args.config, "config")
+    except ValueError as exc:
+        return _fail(str(exc))
     try:
         configs = build_configs(doc)
     except (ValueError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
 
-    results = [run(cfg) for cfg in configs]
-    try:
+    try:  # open --out before the sweep, so a bad path costs no simulation
         with open(args.out, "w", encoding="utf-8") as fh:
+            results = [run(cfg) for cfg in configs]
             write_csv(results, fh)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}")

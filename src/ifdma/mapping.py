@@ -134,12 +134,8 @@ def bin_for_subcarrier(s: int, scheme: RadixScheme) -> int:
     """Inverse of digit_reverse: the bin whose image is subcarrier s."""
     if not 0 <= s < scheme.size:
         raise ValueError(f"subcarrier {s} out of range for band size {scheme.size}")
-    k = 0
-    unit = 1
-    for p, w in zip(scheme.inner_radices, scheme.reversal_weights):
-        k += ((s // w) % p) * unit
-        unit *= p
-    return k
+    # reversing the digits under the reversed radices undoes the reversal
+    return digit_reverse(s, RadixScheme(scheme.radices[::-1]))
 
 
 def bin_digits(k: int, scheme: RadixScheme) -> tuple[int, ...]:

@@ -11,14 +11,18 @@ every class offer the same bin-load, so the normalized offered load is
 Four admission policies are simulated: the two single-stream bin-filling
 policies (``min_small_change``, ``random``), ``multistream`` gathering,
 and an ``ofdma`` reference that tracks only a busy-bin counter (any
-subcarrier may go to any user, so it blocks exactly when fewer bins are
-free than requested and never on fragmentation).
+subcarrier may go to any user).
+
+One rule decides overload for every policy: a request is refused as
+overload when the busy-bin counter leaves fewer bins free than it asks
+for.  Only when enough bins are free is the allocator asked to place
+it, and a refusal then is a fragmentation loss, which ofdma never has.
 
 Blocking is reported load-weighted: P_B sums 2**n over blocked class-n
-arrivals divided by the same sum over all arrivals, and P_f counts only
-blocks that happen while enough bins are free (pure fragmentation
-losses).  Replications differ only in their seed substream; every
-metric is deterministic for a given config, including the CSV output.
+arrivals divided by the same sum over all arrivals, and P_f does the
+same for the fragmentation losses alone.  Replications differ only in
+their seed substream; every metric is deterministic for a given config,
+including the CSV output.
 """
 
 from __future__ import annotations
@@ -35,13 +39,12 @@ import numpy as np
 from .allocator import (
     MIN_SMALL_CHANGE,
     RANDOM,
-    AdmissionStatus,
     BinState,
     admit,
     admit_multistream,
     release,
 )
-from .mapping import MAX_BAND, MAX_M, RadixScheme
+from .mapping import RadixScheme
 
 OFDMA = "ofdma"
 MULTISTREAM = "multistream"
@@ -56,11 +59,6 @@ CSV_COLUMNS = ("policy", "mix", "G", "P_B", "P_B_ci", "P_f", "P_f_ci", "S",
 MAX_ARRIVALS = 1 << 31
 
 
-def _check_m(m: int) -> None:
-    if not 0 <= m <= MAX_M:
-        raise ValueError(f"m must be in 0..{MAX_M} (band size cap {MAX_BAND}), got {m}")
-
-
 @dataclass(frozen=True)
 class TrafficModel:
     """Poisson size-class mix: class n arrives at lam / 2**n."""
@@ -71,7 +69,7 @@ class TrafficModel:
     mix: str = "custom"
 
     def __post_init__(self) -> None:
-        _check_m(self.m)
+        RadixScheme.power_of_two(self.m)  # refuses m outside 0..MAX_M
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         cl = tuple(sorted(set(self.classes)))
@@ -104,10 +102,10 @@ _MIX_CLASSES = {"full": lambda m: range(m + 1), "limited": lambda m: range(m // 
 
 def _traffic(m: int, classes: Sequence[int], mix: str, G: float) -> TrafficModel:
     """A TrafficModel at normalized load G: lam = G * 2**m / |classes|."""
-    _check_m(m)
+    band = RadixScheme.power_of_two(m).size  # refuses m before 2**m is built
     if not math.isfinite(G):
         raise ValueError(f"G must be finite, got {G}")
-    lam = G * (1 << m) / len(classes)
+    lam = G * band / len(classes)
     return TrafficModel(m, lam, tuple(classes), mix)
 
 
@@ -250,14 +248,13 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
             counted = t >= warm
             if counted:
                 r[n] += 1
-            if ofdma:
-                granted = occupied + size <= band
+            fits = occupied + size <= band
+            if ofdma or not fits:
+                granted = fits
+            elif multistream:
+                granted = admit_multistream(state, base + i, size).granted
             else:
-                if multistream:
-                    outcome = admit_multistream(state, base + i, size)
-                else:
-                    outcome = admit(state, base + i, size, policy, adm_rng)
-                granted = outcome.granted
+                granted = admit(state, base + i, size, policy, adm_rng).granted
             if granted:
                 if t > prev_t:
                     occ_area += occupied * (t - prev_t)
@@ -266,7 +263,7 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
                 push(heap, (t + hs[i], base + i, size))
             elif counted:
                 r_blocked[n] += 1
-                if not ofdma and outcome.status is AdmissionStatus.BLOCKED_FRAGMENTATION:
+                if fits:  # enough bins were free: a fragmentation loss
                     r_frag[n] += 1
     if horizon > prev_t:
         occ_area += occupied * (horizon - prev_t)

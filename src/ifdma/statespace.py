@@ -40,10 +40,17 @@ FREE = "F"
 OCCUPIED = "O"
 
 
-def f_rec(m: int) -> int:
-    """Fine-state count by recurrence: f(0) = 2, f(m) = f(m-1)**2 + 1."""
+def _check_depth(m: int, cap: int | None = None, what: str = "") -> None:
+    """Refuse a negative m, and an m above ``cap`` for the work named ``what``."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
+    if cap is not None and m > cap:
+        raise ValueError(f"{what} is capped at m={cap}")
+
+
+def f_rec(m: int) -> int:
+    """Fine-state count by recurrence: f(0) = 2, f(m) = f(m-1)**2 + 1."""
+    _check_depth(m)
     f = 2
     for _ in range(m):
         f = f * f + 1
@@ -52,8 +59,7 @@ def f_rec(m: int) -> int:
 
 def g_rec(m: int) -> int:
     """Super-state count by recurrence: g(0) = 2, g(m) = g(m-1)(g(m-1)+1)/2 + 1."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_depth(m)
     g = 2
     for _ in range(m):
         g = g * (g + 1) // 2 + 1
@@ -62,10 +68,7 @@ def g_rec(m: int) -> int:
 
 def fine_states(m: int) -> list[str]:
     """Every valid state tree of depth m, built bottom-up."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m > FINE_ENUM_CAP:
-        raise ValueError(f"enumeration is capped at m={FINE_ENUM_CAP} (f(m) grows as 2**2**m)")
+    _check_depth(m, FINE_ENUM_CAP, "enumeration")
     states = [FREE, OCCUPIED]
     for _ in range(m):
         states = [FREE, OCCUPIED] + [
@@ -93,10 +96,7 @@ def enumerate_super(m: int) -> int:
     form ``(ab)``, so the forms of depth k + 1 are F, O and every ordered
     pair of depth-k forms except (FF).
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m > FINE_ENUM_CAP:
-        raise ValueError(f"enumeration is capped at m={FINE_ENUM_CAP}")
+    _check_depth(m, FINE_ENUM_CAP, "enumeration")
     canons = {FREE, OCCUPIED}
     for _ in range(m):
         below = sorted(canons)
@@ -189,10 +189,7 @@ def reachable_states(m: int, policy: str = MIN_SMALL_CHANGE) -> ReachabilityRepo
     arrival-only history can produce are their closure from the empty
     band; the rest need at least one departure.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m > REACHABLE_CAP:
-        raise ValueError(f"reachability search is capped at m={REACHABLE_CAP}")
+    _check_depth(m, REACHABLE_CAP, "reachability search")
     empty = frozenset()
     states = {empty: BinState(RadixScheme.power_of_two(m))}
     arrival_edges = {}

@@ -128,12 +128,12 @@ def test_any_feasible_batch_is_granted_in_full():
         for _ in range(10_000):
             sizes = random_size_multiset(rng, m, band)
             for policy in (SORT_FIRST, MIN_SMALL_CHANGE):
-                allocs = allocate_batch_sync(sizes, policy, scheme=scheme)
+                allocs = allocate_batch_sync(BinState(scheme), sizes, policy)
                 assert len(allocs) == len(sizes)
         for _ in range(10_000):
             sizes = random_size_multiset(rng, m, band - 1)
             state = dcr_state(scheme, rng.randrange(band))
-            allocs = allocate_batch_sync(sizes, MIN_SMALL_CHANGE, state=state)
+            allocs = allocate_batch_sync(state, sizes, MIN_SMALL_CHANGE)
             assert len(allocs) == len(sizes)
     assert time.perf_counter() - start < 60.0
 

@@ -144,7 +144,7 @@ class TestRandomPolicy:
 
 class TestBatchSortFirst:
     def test_bit_reversal_worked_example(self):
-        allocs = allocate_batch_sync([1, 4, 2], SORT_FIRST, M8)
+        allocs = allocate_batch_sync(BinState(M8), [1, 4, 2], SORT_FIRST)
         assert [a.request_id for a in allocs] == [0, 1, 2]
         assert allocs[1].ranges == (AlignedRange(0, 4),)
         assert allocs[2].ranges == (AlignedRange(4, 2),)
@@ -154,13 +154,13 @@ class TestBatchSortFirst:
         assert allocs[0].subcarriers == {3}
 
     def test_digit_reversal_worked_example(self):
-        allocs = allocate_batch_sync([3, 1, 6], SORT_FIRST, M223)
+        allocs = allocate_batch_sync(BinState(M223), [3, 1, 6], SORT_FIRST)
         assert allocs[2].subcarriers == {0, 4, 8, 2, 6, 10}
         assert allocs[0].subcarriers == {1, 5, 9}
         assert allocs[1].subcarriers == {3}
 
     def test_size_ties_resolved_by_position(self):
-        allocs = allocate_batch_sync([2, 2, 4], SORT_FIRST, M8)
+        allocs = allocate_batch_sync(BinState(M8), [2, 2, 4], SORT_FIRST)
         assert [a.request_id for a in allocs] == [0, 1, 2]
         assert allocs[2].ranges == (AlignedRange(0, 4),)
         assert allocs[0].ranges == (AlignedRange(4, 2),)
@@ -168,29 +168,21 @@ class TestBatchSortFirst:
 
     def test_rejects_oversubscription(self):
         with pytest.raises(BatchRejected):
-            allocate_batch_sync([8, 1], SORT_FIRST, M8)
+            allocate_batch_sync(BinState(M8), [8, 1], SORT_FIRST)
 
     def test_rejects_dirty_band(self):
         state = BinState(M8)
         occupy(state, 1)
         with pytest.raises(ValueError):
-            allocate_batch_sync([2], SORT_FIRST, state=state)
-
-    def test_requires_scheme_xor_state(self):
-        with pytest.raises(ValueError):
-            allocate_batch_sync([1], SORT_FIRST)
-        with pytest.raises(ValueError):
-            allocate_batch_sync(
-                [1], SORT_FIRST, M8, state=BinState(M8)
-            )
+            allocate_batch_sync(state, [2], SORT_FIRST)
 
     def test_disallowed_size(self):
         with pytest.raises(ValueError):
-            allocate_batch_sync([3], SORT_FIRST, M8)
+            allocate_batch_sync(BinState(M8), [3], SORT_FIRST)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            allocate_batch_sync([1], "first_fit", M8)
+            allocate_batch_sync(BinState(M8), [1], "first_fit")
 
 
 class TestDcr:
@@ -208,20 +200,14 @@ class TestDcr:
 
     def test_batch_up_to_m_minus_one_fits(self):
         state = dcr_state(M8, 4)
-        allocs = allocate_batch_sync(
-            [4, 2, 1],
-            MIN_SMALL_CHANGE,
-            state=state,
-        )
+        allocs = allocate_batch_sync(state, [4, 2, 1], MIN_SMALL_CHANGE)
         bins = sorted(b for a in allocs for r in a.ranges for b in r.bins())
         assert len(bins) == 7 and 1 not in bins
         check_consistency(state)
 
     def test_dc_subcarrier_never_granted(self):
         state = dcr_state(M8, 5)
-        allocs = allocate_batch_sync(
-            [1] * 7, MIN_SMALL_CHANGE, state=state
-        )
+        allocs = allocate_batch_sync(state, [1] * 7, MIN_SMALL_CHANGE)
         for a in allocs:
             assert 5 not in a.subcarriers
 
@@ -394,7 +380,7 @@ def batches(draw, max_total=None):
 def test_full_loading_property(batch, policy):
     """Any batch with total size <= M is granted in full, without overlap."""
     scheme, sizes = batch
-    allocs = allocate_batch_sync(sizes, policy, scheme)
+    allocs = allocate_batch_sync(BinState(scheme), sizes, policy)
     claimed: set[int] = set()
     subs: set[int] = set()
     for i, (size, alloc) in enumerate(zip(sizes, allocs, strict=True)):
@@ -550,6 +536,58 @@ def test_multistream_matches_linear_scan_gather(trace):
         elif active:
             release(state, active.pop(arg % len(active)))
         check_consistency(state)
+
+
+@st.composite
+def overload_traces(draw):
+    """A band, maybe with one blocked bin, and admissions of every kind plus releases."""
+    scheme = draw(st.sampled_from(
+        [RadixScheme.power_of_two(m) for m in range(1, 6)] + [RadixScheme((2, 3, 2))]))
+    blocked = draw(st.one_of(st.just(()), st.tuples(st.integers(0, scheme.size - 1))))
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from([MIN_SMALL_CHANGE, RANDOM, "multistream", "release"]),
+        st.integers(0, 60)), max_size=40))
+    return scheme, blocked, ops
+
+
+def assert_overload_changes_nothing(state, rng):
+    """Every admission asking for more bins than are free is refused as overload,
+    and leaves the free lists, the groups, the free count and the rng as they were."""
+    before = ([set(fs) for fs in state.free], dict(state.groups), state.free_count,
+              rng.getstate())
+    rid = max(state.groups, default=-1) + 1
+    for size in range(state.free_count + 1, state.scheme.size + 1):
+        outs = [admit_multistream(state, rid, size)]
+        if size in state.scheme.level_by_size:
+            outs += [admit(state, rid, size, MIN_SMALL_CHANGE),
+                     admit(state, rid, size, RANDOM, rng)]
+        for out in outs:
+            assert out.status is AdmissionStatus.BLOCKED_OVERLOAD and not out.granted
+        assert (state.free, state.groups, state.free_count, rng.getstate()) == before
+
+
+@given(overload_traces(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150)
+def test_admission_on_an_overloaded_band_is_a_no_op(trace, seed):
+    """The simulator decides overload from its own bin count and skips the
+    allocator then; that is sound only because such an admission does nothing."""
+    scheme, blocked, ops = trace
+    state = BinState(scheme, blocked_bins=blocked)
+    rng = Random(seed)
+    active: list[int] = []
+    for rid, (kind, arg) in enumerate(ops):
+        if kind == "release":
+            if active:
+                release(state, active.pop(arg % len(active)))
+        elif kind == "multistream":
+            if admit_multistream(state, rid, 1 + arg % scheme.size).granted:
+                active.append(rid)
+        else:
+            size = scheme.block_sizes[arg % len(scheme.block_sizes)]
+            if admit(state, rid, size, kind, rng).granted:
+                active.append(rid)
+        assert_overload_changes_nothing(state, rng)
+    check_consistency(state)
 
 
 @given(st.integers(2, 64), st.integers(0, 2**32 - 1))

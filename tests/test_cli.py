@@ -318,6 +318,18 @@ class TestSim:
         assert code == 2
         assert "cannot read config" in err
 
+    def test_unwritable_out_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("simulated before --out was opened")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        out_csv = tmp_path / "missing" / "o.csv"
+        code, out, err = run_cli(capsys, "sim", "--config", str(self.write_config(tmp_path)),
+                                 "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_csv}: ")
+        assert err.count("\n") == 1
+
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")

@@ -22,7 +22,7 @@ from ifdma.statespace import _arrivals, state_tree
 
 def batch_fits(sizes: list[int], state: BinState, policy: str) -> bool:
     try:
-        allocate_batch_sync(sizes, policy, state=state)
+        allocate_batch_sync(state, sizes, policy)
     except BatchRejected:
         return False
     return True
