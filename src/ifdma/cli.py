@@ -14,8 +14,11 @@ With ``--json`` every subcommand emits a canonical JSON document
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import tempfile
 from random import Random
 from typing import Callable, Sequence
 
@@ -245,12 +248,29 @@ def cmd_sim(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
 
-    try:  # open --out before the sweep, so a bad path costs no simulation
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # The rows go to a temporary file beside --out, opened before the sweep
+    # so that a bad path costs no simulation, and moved onto --out only once
+    # written, so that a failed or interrupted sweep leaves --out as it was.
+    if os.path.isdir(args.out):
+        return _fail(f"cannot write {args.out}: Is a directory")
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".ifdma-sim-", suffix=".tmp",
+                                   dir=os.path.dirname(args.out) or ".")
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open would have given
+        with open(fd, "w", encoding="utf-8") as fh:
             results = [run(cfg) for cfg in configs]
             write_csv(results, fh)
+        os.replace(tmp, args.out)
     except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
+        return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
+    finally:
+        with contextlib.suppress(OSError):  # fails once tmp has become --out
+            os.unlink(tmp)
 
     def text() -> str:
         lines = [f"{mt.policy} {mt.mix} G={mt.G:g}: P_B={mt.P_B:.4f}±{mt.P_B_ci:.4f} "

@@ -18,6 +18,11 @@ overload when the busy-bin counter leaves fewer bins free than it asks
 for.  Only when enough bins are free is the allocator asked to place
 it, and a refusal then is a fragmentation loss, which ofdma never has.
 
+Departures are scheduled from the trace: each replication draws every
+arrival's time and holding time up front, sorts the departure times once,
+ties broken by arrival index, and frees each granted request in that
+order, every departure at or before an arrival's time before that arrival.
+
 Blocking is reported load-weighted: P_B sums 2**n over blocked class-n
 arrivals divided by the same sum over all arrivals, and P_f does the
 same for the fragmentation losses alone.  Replications differ only in
@@ -28,9 +33,9 @@ including the CSV output.
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Iterable, Sequence, TextIO
 
@@ -54,7 +59,7 @@ CSV_COLUMNS = ("policy", "mix", "G", "P_B", "P_B_ci", "P_f", "P_f_ci", "S",
                "seed", "replications")
 
 # Most arrivals a config may ask for over all its replications: at the
-# 50k-480k arrivals/s the simulator reaches on a 2-core machine, 2**31
+# 50k-760k arrivals/s the simulator reaches on a 2-core machine, 2**31
 # arrivals already take hours.
 MAX_ARRIVALS = 1 << 31
 
@@ -218,55 +223,68 @@ def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:
     adm_rng = Random(adm_seed) if policy == RANDOM else None
     state = None if ofdma else BinState(tm.scheme)
 
-    r = [0] * (m + 1)
     r_blocked = [0] * (m + 1)
     r_frag = [0] * (m + 1)
     occupied = 0
     occ_area = 0.0
     prev_t = warm
-    heap: list[tuple[float, int, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
 
+    # Every arrival's departure time is known up front, so one stable sort
+    # schedules them all in (time, arrival index) order; the loop frees
+    # the granted ones and skips the rest.  granted[i] is n + 1 for a
+    # granted class-n arrival i and 0 otherwise.  No list holds more than
+    # one chunk of arrivals or of departures.
     total = len(times)
     chunk = 1 << 16
+    departs = times + holds
+    order = np.argsort(departs, kind="stable")
+    schedule = chain.from_iterable(
+        zip(departs[order[j : j + chunk]].tolist(), order[j : j + chunk].tolist())
+        for j in range(0, total, chunk))
+    end = (math.inf, total)
+    dep_t, dep_i = next(schedule, end)
+    granted = bytearray(total)
+    sizes = [0] + [1 << n for n in range(m + 1)]  # sizes[n + 1] == 2**n
+
     for base in range(0, total, chunk):
         ts = times[base : base + chunk].tolist()
         ns = klass[base : base + chunk].tolist()
-        hs = holds[base : base + chunk].tolist()
-        for i, t in enumerate(ts):
-            while heap and heap[0][0] <= t:
-                dep_t, rid, sz = pop(heap)
-                if dep_t > prev_t:
-                    occ_area += occupied * (dep_t - prev_t)
-                    prev_t = dep_t
-                occupied -= sz
-                if not ofdma:
-                    release(state, rid)
-            n = ns[i]
+        for i, t, n in zip(range(base, base + len(ts)), ts, ns):
+            # Stop at index i or later too: only a hold that leaves
+            # t + hold == t sorts one here, it is not granted yet, and every
+            # entry after it has a later index or a later time.
+            while dep_t <= t and dep_i < i:
+                g = granted[dep_i]
+                if g:
+                    if dep_t > prev_t:
+                        occ_area += occupied * (dep_t - prev_t)
+                        prev_t = dep_t
+                    occupied -= sizes[g]
+                    if not ofdma:
+                        release(state, dep_i)
+                dep_t, dep_i = next(schedule, end)
             size = 1 << n
-            counted = t >= warm
-            if counted:
-                r[n] += 1
             fits = occupied + size <= band
             if ofdma or not fits:
-                granted = fits
+                ok = fits
             elif multistream:
-                granted = admit_multistream(state, base + i, size).granted
+                ok = admit_multistream(state, i, size).granted
             else:
-                granted = admit(state, base + i, size, policy, adm_rng).granted
-            if granted:
+                ok = admit(state, i, size, policy, adm_rng).granted
+            if ok:
                 if t > prev_t:
                     occ_area += occupied * (t - prev_t)
                     prev_t = t
                 occupied += size
-                push(heap, (t + hs[i], base + i, size))
-            elif counted:
+                granted[i] = n + 1
+            elif t >= warm:
                 r_blocked[n] += 1
                 if fits:  # enough bins were free: a fragmentation loss
                     r_frag[n] += 1
     if horizon > prev_t:
         occ_area += occupied * (horizon - prev_t)
+    # arrivals from the end of the warm-up on are counted, times being sorted
+    r = np.bincount(klass[np.searchsorted(times, warm) :], minlength=m + 1).tolist()
     return {"r": r, "r_B": r_blocked, "r_f": r_frag, "occ_area": occ_area}
 
 

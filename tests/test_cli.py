@@ -330,6 +330,50 @@ class TestSim:
         assert err.startswith(f"error: cannot write {out_csv}: ")
         assert err.count("\n") == 1
 
+    def test_directory_out_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("simulated before --out was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        code, out, err = run_cli(capsys, "sim", "--config", str(self.write_config(tmp_path)),
+                                 "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: cannot write {out_dir}: Is a directory\n")
+        assert list(out_dir.iterdir()) == []
+
+    def test_interrupted_sweep_leaves_out_as_it_was(self, capsys, tmp_path, monkeypatch):
+        real_run, calls = cli.run, []
+
+        def interrupt_second(cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run", interrupt_second)
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        out_csv = out_dir / "o.csv"
+        out_csv.write_bytes(b"old,csv\n1,2\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["sim", "--config", str(self.write_config(tmp_path)), "--out", str(out_csv)])
+        assert len(calls) == 2
+        assert out_csv.read_bytes() == b"old,csv\n1,2\n"
+        assert [p.name for p in out_dir.iterdir()] == ["o.csv"]
+
+    def test_finished_sweep_writes_out_with_the_umask_mode(self, capsys, tmp_path):
+        out_csv = tmp_path / "o.csv"
+        out_csv.write_bytes(b"old,csv\n")
+        code, _, _ = run_cli(capsys, "sim", "--config", str(self.write_config(tmp_path)),
+                             "--out", str(out_csv))
+        assert code == 0
+        assert out_csv.read_text().startswith("policy,mix,G,")
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert out_csv.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o.csv", "plain"]
+
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")

@@ -8,11 +8,16 @@ distribution of the exact 26-state continuous-time chain, solved
 separately with a dense linear solve and frozen here.
 """
 
+import heapq
 import io
 from dataclasses import replace
+from random import Random
 
+import numpy as np
 import pytest
 
+import ifdma.sim as sim
+from ifdma.allocator import BinState, admit, admit_multistream, check_consistency, release
 from ifdma.sim import (
     CSV_COLUMNS,
     SimConfig,
@@ -222,6 +227,157 @@ class TestBookkeeping:
         assert mt.P_B == 0.0 and mt.P_f == 0.0 and mt.S == 1.0
         assert mt.measured_G == 0.0 and mt.mean_occupancy == 0.0
         assert all(x == 0 for x in mt.r)
+
+
+# (time, class, hold) of a hand-built trace.  Class TOP stands for m, a
+# request for the whole band, so every grant below hinges on what was freed
+# just before it.
+TOP = -1
+ORDER_TRACE = (
+    (0.0, TOP, 1.0),  # 0: fills the band until t=1.0 (before the warm-up ends)
+    (0.5, 0, 0.1),    # 1: refused, yet its departure time sorts before 0's
+    (1.0, TOP, 1.0),  # 2: granted only if 0, departing at exactly 1.0, is freed first
+    (2.0, 0, 0.5),    # 3: 2 departs at exactly 2.0
+    (2.0, 0, 0.5),    # 4: departs at 2.5 with 3, after it (id order)
+    (2.5, TOP, 0.0),  # 5: needs both 3 and 4 freed; a hold of 0.0 ends at 2.5
+    (2.5, TOP, 1.0),  # 6: needs 5, granted at this same instant, freed first
+    (3.0, 0, 0.0),    # 7: refused: the band is full until 3.5
+    (3.5, 0, 0.2),    # 8: 6 departs at exactly 3.5
+    (4.0, 0, 3.0),    # 9..13: fill bins, free every other one, then ask
+    (4.1, 0, 0.5),    #        for a pair: a fragmentation loss for min
+    (4.2, 0, 3.0),
+    (4.3, 0, 0.5),
+    (5.0, 1, 1.0),
+    (6.0, TOP, 1.0),  # 14: refused while 9 and 11 still hold their bins
+)
+
+
+def order_trace(m: int):
+    """ORDER_TRACE on a band of 2**m, in the arrays _traffic_trace returns."""
+    times, klass, holds = zip(*((t, m if n == TOP else n, h) for t, n, h in ORDER_TRACE))
+    return np.array(times), np.array(klass, dtype=np.int64), np.array(holds), 12345
+
+
+def heap_replication(cfg: SimConfig, trace) -> tuple[dict, BinState | None]:
+    """The event loop as a departure heap keyed by (time, arrival index).
+
+    This is the order the simulator is bound to: every departure at or
+    before an arrival's time is freed before that arrival, and departures
+    at one instant in arrival order.
+    """
+    times, klass, holds, adm_seed = trace
+    m, band, warm = cfg.traffic.m, 1 << cfg.traffic.m, cfg.warmup_time
+    horizon = warm + cfg.measure_time
+    ofdma = cfg.policy == "ofdma"
+    rng = Random(adm_seed) if cfg.policy == "random" else None
+    state = None if ofdma else BinState(cfg.traffic.scheme)
+    r, r_b, r_f = [0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
+    occupied, occ_area, prev_t = 0, 0.0, warm
+    heap = []
+    for i, (t, n, h) in enumerate(zip(times.tolist(), klass.tolist(), holds.tolist())):
+        while heap and heap[0][0] <= t:
+            dep_t, rid, sz = heapq.heappop(heap)
+            if dep_t > prev_t:
+                occ_area += occupied * (dep_t - prev_t)
+                prev_t = dep_t
+            occupied -= sz
+            if not ofdma:
+                release(state, rid)
+        size = 1 << n
+        counted = t >= warm
+        r[n] += counted
+        fits = occupied + size <= band
+        if ofdma or not fits:
+            granted = fits
+        elif cfg.policy == "multistream":
+            granted = admit_multistream(state, i, size).granted
+        else:
+            granted = admit(state, i, size, cfg.policy, rng).granted
+        if granted:
+            if t > prev_t:
+                occ_area += occupied * (t - prev_t)
+                prev_t = t
+            occupied += size
+            heapq.heappush(heap, (t + h, i, size))
+        elif counted:
+            r_b[n] += 1
+            r_f[n] += fits
+    if horizon > prev_t:
+        occ_area += occupied * (horizon - prev_t)
+    return {"r": r, "r_B": r_b, "r_f": r_f, "occ_area": occ_area}, state
+
+
+class TestEventOrder:
+    @pytest.mark.parametrize("policy", sim.POLICIES)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_departures_free_in_heap_order(self, monkeypatch, m, policy):
+        trace = order_trace(m)
+        monkeypatch.setattr(sim, "_traffic_trace", lambda traffic, horizon, ss: trace)
+        states = []
+
+        def keep_state(scheme):
+            states.append(BinState(scheme))
+            return states[-1]
+
+        monkeypatch.setattr(sim, "BinState", keep_state)
+        cfg = SimConfig(TrafficModel.full_mix(m, G=0.5), policy, seed=0,
+                        warmup_time=0.25, measure_time=8.0, replications=1)
+        got = sim._run_replication(cfg, None)
+        want, ref_state = heap_replication(cfg, trace)
+        assert got == want
+        if policy != "ofdma":
+            (state,) = states
+            check_consistency(state)
+            assert (state.groups, state.free) == (ref_state.groups, ref_state.free)
+
+    def test_hand_counted_ofdma_blocks(self, monkeypatch):
+        # arrivals 2, 5 and 6 are granted only in heap order; 1, 7, 11, 12,
+        # 13 and 14 are refused on a band of 2
+        monkeypatch.setattr(sim, "_traffic_trace", lambda traffic, horizon, ss: order_trace(1))
+        cfg = SimConfig(TrafficModel.full_mix(1, G=0.5), "ofdma", seed=0,
+                        warmup_time=0.25, measure_time=8.0, replications=1)
+        got = sim._run_replication(cfg, None)
+        assert (got["r"], got["r_B"], got["r_f"]) == ([9, 5], [4, 2], [0, 0])
+
+
+class TestModuleNames:
+    """run() reaches the allocator through sim's own names, which the
+    benchmark's traced rounds patch to time each call."""
+
+    @pytest.mark.parametrize("policy, name", [
+        ("min_small_change", "admit"),
+        ("random", "admit"),
+        ("multistream", "admit_multistream"),
+    ])
+    def test_run_calls_admit_and_release_by_module_name(self, monkeypatch, policy, name):
+        calls = {name: 0, "release": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for key in calls:
+            monkeypatch.setattr(sim, key, counting(key, getattr(sim, key)))
+        cfg = SimConfig(TrafficModel.full_mix(4, G=0.9), policy, seed=3,
+                        warmup_time=5, measure_time=30, replications=1)
+        run(cfg)
+        assert calls[name] > 0 and calls["release"] > 0
+
+    def test_a_failing_release_stops_run(self, monkeypatch):
+        calls = []
+
+        def broken(state, request_id):
+            calls.append(request_id)
+            raise RuntimeError("release failed")
+
+        monkeypatch.setattr(sim, "release", broken)
+        cfg = SimConfig(TrafficModel.full_mix(4, G=0.9), "min_small_change", seed=3,
+                        warmup_time=5, measure_time=30, replications=1)
+        with pytest.raises(RuntimeError, match="release failed"):
+            run(cfg)
+        assert len(calls) == 1
 
 
 class TestBuildConfigs:
