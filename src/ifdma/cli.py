@@ -14,11 +14,10 @@ With ``--json`` every subcommand emits a canonical JSON document
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
+import stat
 import sys
-import tempfile
 from random import Random
 from typing import Callable, Sequence
 
@@ -248,29 +247,18 @@ def cmd_sim(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
 
-    # The rows go to a temporary file beside --out, opened before the sweep
-    # so that a bad path costs no simulation, and moved onto --out only once
-    # written, so that a failed or interrupted sweep leaves --out as it was.
-    if os.path.isdir(args.out):
-        return _fail(f"cannot write {args.out}: Is a directory")
+    # --out is opened before the sweep, so that a bad path costs no
+    # simulation, but in append mode, so that a failed or interrupted sweep
+    # leaves it as it was. Once the rows are ready, a regular file (a
+    # symlink's target included) is emptied; a device or FIFO is not.
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".ifdma-sim-", suffix=".tmp",
-                                   dir=os.path.dirname(args.out) or ".")
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open would have given
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(args.out, "a", encoding="utf-8") as fh:
             results = [run(cfg) for cfg in configs]
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)  # appends now start at byte 0
             write_csv(results, fh)
-        os.replace(tmp, args.out)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
-    finally:
-        with contextlib.suppress(OSError):  # fails once tmp has become --out
-            os.unlink(tmp)
 
     def text() -> str:
         lines = [f"{mt.policy} {mt.mix} G={mt.G:g}: P_B={mt.P_B:.4f}±{mt.P_B_ci:.4f} "

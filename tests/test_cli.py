@@ -362,17 +362,17 @@ class TestSim:
         assert out_csv.read_bytes() == b"old,csv\n1,2\n"
         assert [p.name for p in out_dir.iterdir()] == ["o.csv"]
 
-    def test_finished_sweep_writes_out_with_the_umask_mode(self, capsys, tmp_path):
-        out_csv = tmp_path / "o.csv"
-        out_csv.write_bytes(b"old,csv\n")
-        code, _, _ = run_cli(capsys, "sim", "--config", str(self.write_config(tmp_path)),
-                             "--out", str(out_csv))
-        assert code == 0
-        assert out_csv.read_text().startswith("policy,mix,G,")
-        plain = tmp_path / "plain"
-        plain.write_text("")
-        assert out_csv.stat().st_mode == plain.stat().st_mode
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o.csv", "plain"]
+    def test_symlinked_out_is_written_through(self, capsys, tmp_path):
+        cfg = str(self.write_config(tmp_path))
+        plain = tmp_path / "plain.csv"
+        assert run_cli(capsys, "sim", "--config", cfg, "--out", str(plain))[0] == 0
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old,csv\n" * 10_000)  # longer than the rows
+        link = tmp_path / "o.csv"
+        link.symlink_to(target)
+        assert run_cli(capsys, "sim", "--config", cfg, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == plain.read_bytes()
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "config.json"
