@@ -6,7 +6,8 @@ aligned blocks of size ``block_sizes[j]``: whenever every child of a
 parent block is free the children are coalesced, so the free lists are
 exactly the maximal free aligned ranges at all times.  The free lists,
 ``groups`` (the ranges each active request holds) and ``blocked`` are
-the whole state; nothing is kept in a second copy.
+the whole state, plus ``free_count``, a counter of free bins that
+``check_consistency`` verifies against ``groups`` and ``blocked``.
 
 One core serves every policy.  ``BinState._split`` is the only split:
 it frees every part of a claimed block except the chain of children
@@ -127,6 +128,9 @@ class BinState:
         self.free_count = scheme.size
         self.groups: dict[int, tuple[AlignedRange, ...]] = {}
         self.blocked = frozenset(blocked_bins)
+        for b in self.blocked:
+            if type(b) is not int:
+                raise ValueError(f"blocked bin {b!r} is not an int")
         for b in sorted(self.blocked):
             if not 0 <= b < scheme.size:
                 raise ValueError(f"blocked bin {b} out of range for band size {scheme.size}")
@@ -324,6 +328,8 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
     of the smallest larger blocks, split keeping its lowest child.
     Grants whenever enough bins are free, so fragmentation never blocks.
     """
+    if type(size) is not int:
+        raise ValueError(f"request size must be an int, got {size!r}")
     if not 1 <= size <= state.scheme.size:
         raise ValueError(f"request size {size} out of range for band size {state.scheme.size}")
     if request_id in state.groups:

@@ -95,15 +95,6 @@ class RadixScheme:
         return tuple(sizes)
 
     @cached_property
-    def reversal_weights(self) -> tuple[int, ...]:
-        """Weight of digit d_t in the reversed string: prod(p_u for u > t)."""
-        weights = [1]
-        for p in reversed(self.inner_radices[1:]):
-            weights.append(weights[-1] * p)
-        weights.reverse()
-        return tuple(weights)
-
-    @cached_property
     def level_by_size(self) -> Mapping[int, int]:
         """Read-only map from each allowed block size to its level j."""
         return MappingProxyType({size: j for j, size in enumerate(self.block_sizes)})
@@ -124,8 +115,8 @@ def digit_reverse(k: int, scheme: RadixScheme) -> int:
     if not 0 <= k < scheme.size:
         raise ValueError(f"bin {k} out of range for band size {scheme.size}")
     s = 0
-    for p, w in zip(scheme.inner_radices, scheme.reversal_weights):
-        s += (k % p) * w
+    for p in scheme.inner_radices:  # Horner's rule: d_t gets weight prod(p_u for u > t)
+        s = s * p + k % p
         k //= p
     return s
 
@@ -157,6 +148,8 @@ class AlignedRange:
     size: int
 
     def __post_init__(self) -> None:
+        if type(self.start) is not int or type(self.size) is not int:  # a bool is refused too
+            raise ValueError(f"range start and size must be ints, got {self!r}")
         if self.size < 1:
             raise ValueError(f"range size must be >= 1, got {self.size}")
         if self.start < 0:

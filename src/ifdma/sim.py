@@ -179,15 +179,14 @@ def _traffic_trace(traffic: TrafficModel, horizon: float, rep_ss: np.random.Seed
     The trace depends only on the seed substream, never on the policy, so
     runs with different policies at one seed see identical traffic.
     """
-    class_seeds = rep_ss.spawn(len(traffic.classes) + 1)
-    parts_t, parts_n, parts_h = [], [], []
-    for idx, n in enumerate(traffic.classes):
-        gen = np.random.default_rng(class_seeds[idx])
-        if traffic.lam == 0:
-            parts_t.append(np.empty(0))
-            parts_n.append(np.empty(0, dtype=np.int64))
-            parts_h.append(np.empty(0))
-            continue
+    *class_seeds, admission_ss = rep_ss.spawn(len(traffic.classes) + 1)
+    words = admission_ss.generate_state(4, np.uint32)
+    admission_seed = int.from_bytes(words.tobytes(), "little")
+    if traffic.lam == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), admission_seed
+    parts_t, parts_h = [], []
+    for n, ss in zip(traffic.classes, class_seeds):
+        gen = np.random.default_rng(ss)
         scale = (1 << n) / traffic.lam  # mean interarrival of class n
         expect = horizon / scale
         count = int(expect + 6.0 * expect ** 0.5 + 16.0)
@@ -196,16 +195,12 @@ def _traffic_trace(traffic: TrafficModel, horizon: float, rep_ss: np.random.Seed
             more = np.cumsum(gen.exponential(scale, size=max(16, count // 8)))
             times = np.concatenate([times, times[-1] + more])
         k = int(np.searchsorted(times, horizon))
-        times = times[:k]
-        parts_t.append(times)
-        parts_n.append(np.full(k, n, dtype=np.int64))
+        parts_t.append(times[:k])
         parts_h.append(gen.exponential(1.0, size=k))
     all_t = np.concatenate(parts_t)
     order = np.argsort(all_t, kind="stable")
-    words = class_seeds[-1].generate_state(4, np.uint32)
-    admission_seed = int.from_bytes(words.tobytes(), "little")
-    return (all_t[order], np.concatenate(parts_n)[order],
-            np.concatenate(parts_h)[order], admission_seed)
+    klass = np.repeat(np.asarray(traffic.classes, dtype=np.int64), [len(t) for t in parts_t])
+    return all_t[order], klass[order], np.concatenate(parts_h)[order], admission_seed
 
 
 def _run_replication(cfg: SimConfig, rep_ss: np.random.SeedSequence) -> dict:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .allocator import MIN_SMALL_CHANGE, RANDOM, BinState, admit, place, release
+from .allocator import MIN_SMALL_CHANGE, BinState, admit, release
 from .mapping import AlignedRange, RadixScheme
 
 FINE_ENUM_CAP = 4
@@ -142,40 +142,52 @@ class ReachabilityReport:
     departure_only: frozenset[str]
 
 
-def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
-    """Admit every size at every placement the policy allows, one at a time.
+class _Draws:
+    """A stand-in rng that makes every sequence of draws once, depth first.
 
-    Each admission is applied to ``state`` itself and yielded as its
-    range, then released before the next one; free lists hold exactly the
-    maximal free blocks, so the release restores the state exactly.
+    ``randrange`` replays the choice recorded at its position, or records
+    a new draw at choice 0; ``advance`` moves to the next sequence and
+    says whether one is left.
     """
-    m = state.scheme.levels
+
+    def __init__(self) -> None:
+        self.draws: list[list[int]] = []  # [choice, limit] per draw
+        self.depth = 0
+
+    def randrange(self, limit: int) -> int:
+        if self.depth == len(self.draws):
+            self.draws.append([0, limit])
+        self.depth += 1
+        return self.draws[self.depth - 1][0]
+
+    def advance(self) -> bool:
+        self.depth = 0
+        while self.draws and self.draws[-1][0] + 1 == self.draws[-1][1]:
+            self.draws.pop()  # the last choice of this draw is made
+        if self.draws:
+            self.draws[-1][0] += 1
+        return bool(self.draws)
+
+
+def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
+    """Admit every size under every sequence of the policy's draws, one at a time.
+
+    Each sequence grants at most one block, and together they cover every
+    block the policy can grant.  Each grant is applied to ``state`` itself, yielded
+    as its range and released; free lists hold exactly the maximal free
+    blocks, so the release restores the state and replayed draws choose
+    the same again.
+    """
     rid = max(state.groups, default=-1) + 1
-    if policy == MIN_SMALL_CHANGE:
-        for n in range(m + 1):
-            outcome = admit(state, rid, 1 << n, MIN_SMALL_CHANGE)
+    draws = _Draws()
+    for n in range(state.scheme.levels + 1):
+        more = True
+        while more:
+            outcome = admit(state, rid, 1 << n, policy, draws)
             if outcome.granted:
                 yield outcome.allocation.ranges[0]
                 release(state, rid)
-    elif policy == RANDOM:
-        free = state.free
-        for n in range(m + 1):
-            size = 1 << n
-            if free[n]:
-                starts = sorted(free[n])
-            else:
-                # every aligned free block of this size inside a larger free block
-                starts = sorted(
-                    start + k * size
-                    for j in range(n + 1, m + 1)
-                    for start in free[j]
-                    for k in range(1 << (j - n))
-                )
-            for start in starts:
-                yield place(state, rid, size, start).ranges[0]
-                release(state, rid)
-    else:
-        raise ValueError(f"unknown admission policy {policy!r}")
+            more = draws.advance()
 
 
 def reachable_states(m: int, policy: str = MIN_SMALL_CHANGE) -> ReachabilityReport:

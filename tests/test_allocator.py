@@ -616,3 +616,43 @@ def test_multistream_grants_iff_capacity(m_requests, seed):
         else:
             assert out.status is AdmissionStatus.BLOCKED_OVERLOAD
     check_consistency(state)
+
+
+# -- non-integer inputs -------------------------------------------------------
+
+
+def band(state: BinState) -> tuple:
+    return [set(fs) for fs in state.free], state.free_count, dict(state.groups), state.blocked
+
+
+class TestNonIntegerInputs:
+    """A size or bin that is not an int is refused before the band is touched."""
+
+    @staticmethod
+    def partly_held() -> BinState:
+        state = BinState(M8)
+        occupy(state, 1)  # free: 1, [2, 4) and [4, 8)
+        return state
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True])
+    def test_multistream_size(self, size):
+        state = self.partly_held()
+        before = band(state.clone())
+        with pytest.raises(ValueError, match="must be an int"):
+            admit_multistream(state, 1, size)
+        assert band(state) == before
+        check_consistency(state)
+
+    @pytest.mark.parametrize("size, start", [(2.0, 4), (2, 4.0), (True, 4)])
+    def test_place(self, size, start):
+        state = self.partly_held()
+        before = band(state.clone())
+        with pytest.raises(ValueError, match="must be ints"):
+            place(state, 1, size, start)
+        assert band(state) == before
+        check_consistency(state)
+
+    @pytest.mark.parametrize("bins", [(1.5,), (2, 3.0), (True,)])
+    def test_blocked_bins(self, bins):
+        with pytest.raises(ValueError, match="not an int"):
+            BinState(M8, blocked_bins=bins)

@@ -287,8 +287,28 @@ def test_free_list_readers_match_bitmap_reference(m, dc, seed, ops):
         check_consistency(state)
         assert state_tree(state) == reference_tree(state)
         before = snapshot(state)
-        assert random_starts(state) == reference_random_starts(state)
+        assert sorted(random_starts(state)) == reference_random_starts(state)
         assert snapshot(state) == before  # trying every arrival leaves the state as it was
+
+
+def test_arrivals_run_the_allocators_random_rule(monkeypatch):
+    """The search grants what the allocator's rule grants, whatever the rule."""
+
+    def lowest_exact_block(self, n, rng):
+        rng.randrange(1)
+        if not self.free[n]:
+            return None
+        start = min(self.free[n])
+        self.free[n].discard(start)
+        return start
+
+    monkeypatch.setattr(BinState, "_take_random", lowest_exact_block)
+    state = BinState(RadixScheme.power_of_two(3))
+    place(state, 0, 1, 0)
+    place(state, 1, 1, 4)  # free: singles 1 and 5, pairs 2 and 6
+    before = snapshot(state)
+    assert random_starts(state) == [(1, 1), (2, 2)]
+    assert snapshot(state) == before
 
 
 # -- reference search ---------------------------------------------------------
