@@ -1,33 +1,42 @@
 """Bin allocation for an interleaved-FDMA band.
 
 Bins are bookkept as a buddy system over the scheme's allowed block
-sizes.  ``free[j]`` holds the start indexes of the *maximal* free
-aligned blocks of size ``block_sizes[j]``: whenever every child of a
-parent block is free the children are coalesced, so the free lists are
-exactly the maximal free aligned ranges at all times.  The free lists,
-``groups`` (the ranges each active request holds) and ``blocked`` are
-the whole state, plus ``free_count``, a counter of free bins that
-``check_consistency`` verifies against ``groups`` and ``blocked``.
+sizes, with one integer bitmask per level: bit k of level j is set when
+the aligned block at ``k * block_sizes[j]`` is a *maximal* free block.
+Whenever every child of a parent block is free the children are
+coalesced, so the set bits are exactly the maximal free aligned ranges
+at all times.  ``BinState.free_starts(level)`` reads one level in
+increasing start order.  The bitmasks, ``groups`` (the ranges each
+active request holds) and ``blocked`` are the whole state, plus
+``free_count``, a counter of free bins that ``check_consistency``
+verifies against ``groups`` and ``blocked``.
 
 One core serves every policy.  ``BinState._split`` is the only split:
 it frees every part of a claimed block except the chain of children
-that leads to a target block.  ``BinState._release_block`` is the only
-coalesce.  ``_commit`` is the only place a grant is recorded.
+that leads to a target block, setting each level's ``fanout - 1``
+sibling bits with one OR.  ``BinState._release_block`` is the only
+coalesce; it tests a sibling group with one mask compare.  ``_commit``
+is the only place a grant is recorded.
 
 A grant builds little per event.  A band has at most 2*M aligned
-blocks, so ``BinState`` builds the ``AlignedRange`` of each block the
-first time it is granted and hands out that same immutable record
-afterwards; clones share the table.  Levels are read from the scheme's
-``level_by_size`` map, and an ``AdmissionOutcome`` is a named tuple.
+blocks, so the ``AlignedRange`` of each block is built the first time
+it is granted and that same immutable record is handed out afterwards.
+The tables are built once per scheme, in a small cache, and shared by
+every band and clone of an equal scheme.  Levels are read from the
+scheme's ``level_by_size`` map, and an ``AdmissionOutcome`` is a named
+tuple.
 
 Admission policies for a single request of an allowed size:
 
 * ``min_small_change`` takes the smallest adequate free block (ties by
-  lowest start) and splits it keeping the lower-indexed child.
+  lowest start, the lowest set bit) and splits it keeping the
+  lower-indexed child.
 * ``random`` picks uniformly among the maximal free blocks of exactly
-  the requested size.  Only when no exact-size block exists does it
-  split: it draws one of the larger maximal blocks uniformly and walks
-  down with a uniform child choice at every level.
+  the requested size: the r-th lowest set bit for one ``randrange`` draw
+  r, made only when more than one such block is free.  Only when no
+  exact-size block exists does it split: it draws one of the larger
+  maximal blocks uniformly, in (level, start) order, and walks down with
+  a uniform child choice at every level.
 
 ``place`` grants a request one given free aligned block.
 ``allocate_batch_sync`` admits a whole batch through ``min_small_change``,
@@ -41,8 +50,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from random import Random
 from typing import NamedTuple
 
@@ -110,11 +120,17 @@ class _RangeTable(dict):
         return r
 
 
-class BinState:
-    """Occupancy of one band: active allocations, blocked bins, free lists."""
+@lru_cache(maxsize=8)
+def _range_tables(scheme: RadixScheme) -> tuple[_RangeTable, ...]:
+    """One range table per level, shared by every band of an equal scheme."""
+    return tuple(_RangeTable(size) for size in scheme.block_sizes)
 
-    __slots__ = ("scheme", "free", "free_count", "groups", "blocked",
-                 "_sizes", "_fanout", "_top", "_levels", "_ranges")
+
+class BinState:
+    """Occupancy of one band: active allocations, blocked bins, free blocks."""
+
+    __slots__ = ("scheme", "free_count", "groups", "blocked",
+                 "_masks", "_sizes", "_fanout", "_top", "_levels", "_ranges")
 
     def __init__(self, scheme: RadixScheme, blocked_bins: tuple[int, ...] = ()):
         self.scheme = scheme
@@ -122,9 +138,9 @@ class BinState:
         self._fanout = scheme.inner_radices
         self._top = scheme.levels
         self._levels = scheme.level_by_size
-        self._ranges = tuple(_RangeTable(size) for size in self._sizes)
-        self.free: list[set[int]] = [set() for _ in range(self._top + 1)]
-        self.free[self._top].add(0)
+        self._ranges = _range_tables(scheme)
+        # bit k of _masks[j]: the block at k * sizes[j] is a maximal free block
+        self._masks = [0] * self._top + [1]
         self.free_count = scheme.size
         self.groups: dict[int, tuple[AlignedRange, ...]] = {}
         self.blocked = frozenset(blocked_bins)
@@ -145,115 +161,118 @@ class BinState:
         other._top = self._top
         other._levels = self._levels
         other._ranges = self._ranges
-        other.free = [set(fs) for fs in self.free]
+        other._masks = self._masks.copy()
         other.free_count = self.free_count
         other.groups = dict(self.groups)
         other.blocked = self.blocked
         return other
 
-    # -- free-list surgery ------------------------------------------------
+    def free_starts(self, level: int) -> Iterator[int]:
+        """Starts of the maximal free blocks of one level, in increasing order."""
+        x = self._masks[level]
+        size = self._sizes[level]
+        while x:
+            low = x & -x
+            yield (low.bit_length() - 1) * size
+            x ^= low
+
+    # -- free-block surgery -----------------------------------------------
 
     def _carve(self, start: int, level: int) -> None:
         """Claim the aligned block [start, start + sizes[level]) out of free space."""
         sizes = self._sizes
-        free = self.free
+        masks = self._masks
         for j in range(level, self._top + 1):
-            block = start - start % sizes[j]
-            if block in free[j]:
-                free[j].discard(block)
-                self._split(j, block, level, start)
+            bit = 1 << (start // sizes[j])
+            if masks[j] & bit:
+                masks[j] ^= bit
+                self._split(j, level, start)
                 return
         raise ValueError(
             f"bins [{start}, {start + sizes[level]}) are not entirely free"
         )
 
-    def _split(self, j: int, block: int, level: int, target: int) -> None:
+    def _split(self, j: int, level: int, target: int) -> None:
         """Free every part of a claimed level-j block but the level-``level`` one at target."""
         sizes = self._sizes
         fanout = self._fanout
-        free = self.free
-        s = block
+        masks = self._masks
         for k in range(j - 1, level - 1, -1):
-            step = sizes[k]
-            idx = (target - s) // step
-            add = free[k].add
-            for c in range(fanout[k]):
-                if c != idx:
-                    add(s + c * step)
-            s += idx * step
+            f = fanout[k]
+            t = target // sizes[k]  # the kept child; its siblings become free
+            masks[k] |= (((1 << f) - 1) << (t - t % f)) ^ (1 << t)
 
     def _release_block(self, start: int, level: int) -> None:
-        """Return one aligned block to the free lists, coalescing full sibling sets."""
-        free = self.free
-        sizes = self._sizes
+        """Return one aligned block to the free blocks, coalescing full sibling groups."""
+        masks = self._masks
         fanout = self._fanout
         j = level
-        s = start
+        i = start // self._sizes[j]  # the block's bit
         while j < self._top:
-            parent = s - s % sizes[j + 1]
-            fs = free[j]
-            step = sizes[j]
-            merged = True
-            for c in range(fanout[j]):
-                sib = parent + c * step
-                if sib != s and sib not in fs:
-                    merged = False
-                    break
-            if not merged:
-                fs.add(s)
+            f = fanout[j]
+            group = ((1 << f) - 1) << (i - i % f)
+            x = masks[j] | (1 << i)
+            if x & group != group:
+                masks[j] = x
                 return
-            for c in range(fanout[j]):
-                sib = parent + c * step
-                if sib != s:
-                    fs.discard(sib)
-            s = parent
+            masks[j] = x ^ group
+            i //= f
             j += 1
-        free[self._top].add(s)
+        masks[j] |= 1 << i
 
     # -- policy search ----------------------------------------------------
 
     def _take_min(self, n: int) -> int | None:
-        free = self.free
+        masks = self._masks
         for j in range(n, self._top + 1):
-            fs = free[j]
-            if fs:
-                start = min(fs)
-                fs.discard(start)
-                self._split(j, start, n, start)
+            x = masks[j]
+            if x:
+                low = x & -x
+                masks[j] = x ^ low
+                start = (low.bit_length() - 1) * self._sizes[j]
+                if j != n:
+                    self._split(j, n, start)
                 return start
         return None
 
     def _take_random(self, n: int, rng: Random) -> int | None:
-        free = self.free
-        fs = free[n]
-        if fs:
-            if len(fs) == 1:
-                start = next(iter(fs))
-            else:
-                start = sorted(fs)[rng.randrange(len(fs))]
-            fs.discard(start)
-            return start
-        pooled = [(j, b) for j in range(n + 1, self._top + 1) for b in sorted(free[j])]
-        if not pooled:
-            return None
-        j, block = pooled[rng.randrange(len(pooled))]
-        free[j].discard(block)
-        # draw the child of every level top-down first: that is the RNG draw order
+        masks = self._masks
         sizes = self._sizes
-        fanout = self._fanout
-        target = block
-        for k in range(j - 1, n - 1, -1):
-            target += rng.randrange(fanout[k]) * sizes[k]
-        self._split(j, block, n, target)
+        x = masks[n]
+        if x:
+            count = x.bit_count()
+            r = rng.randrange(count) if count > 1 else 0
+            j = n
+        else:  # no exact-size block: draw one of the larger ones, in (level, start) order
+            total = sum(masks[j].bit_count() for j in range(n + 1, self._top + 1))
+            if not total:
+                return None
+            r = rng.randrange(total)
+            j = n + 1
+            while r >= (count := masks[j].bit_count()):
+                r -= count
+                j += 1
+            x = masks[j]
+        for _ in range(r):  # clear the r lowest set bits
+            x &= x - 1
+        low = x & -x
+        masks[j] ^= low
+        target = (low.bit_length() - 1) * sizes[j]
+        if j != n:
+            # draw the child of every level top-down first: that is the RNG draw order
+            fanout = self._fanout
+            for k in range(j - 1, n - 1, -1):
+                target += rng.randrange(fanout[k]) * sizes[k]
+            self._split(j, n, target)
         return target
 
 
 def free_subsets(state: BinState) -> list[AlignedRange]:
     """Maximal free aligned ranges, in increasing start order."""
     out = [
-        AlignedRange(start, state._sizes[j])
-        for j, fs in enumerate(state.free)
-        for start in fs
+        AlignedRange(start, size)
+        for j, size in enumerate(state.scheme.block_sizes)
+        for start in state.free_starts(j)
     ]
     out.sort(key=lambda r: r.start)
     return out
@@ -270,6 +289,17 @@ def _commit(
     )
 
 
+def _level(state: BinState, size: int) -> int:
+    """The level of an allowed request size, or a ValueError that says what is wrong."""
+    try:
+        n = state._levels[size]
+    except (KeyError, TypeError):  # TypeError: an unhashable size
+        n = state.scheme.level_of(size)  # raises the ValueError that names the sizes
+    if type(size) is not int:  # 2.0 and True hash like the sizes 2 and 1
+        raise ValueError(f"request size must be an int, got {size!r}")
+    return n
+
+
 def admit(
     state: BinState,
     request_id: int,
@@ -278,10 +308,7 @@ def admit(
     rng: Random | None = None,
 ) -> AdmissionOutcome:
     """Place request ``request_id`` of one allowed size, or report why it blocked."""
-    try:
-        n = state._levels[size]
-    except (KeyError, TypeError):  # TypeError: an unhashable size
-        n = state.scheme.level_of(size)  # raises the ValueError that names the sizes
+    n = _level(state, size)
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
     if policy == MIN_SMALL_CHANGE:
@@ -336,7 +363,7 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
         raise ValueError(f"request id {request_id} is already active")
     if state.free_count < size:
         return _BLOCKED_OVERLOAD
-    free = state.free
+    masks = state._masks
     sizes = state._sizes
     ranges = state._ranges
     remaining = size
@@ -344,7 +371,7 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
     while remaining:
         fit = bisect_right(sizes, remaining) - 1  # the largest size <= remaining
         j = fit
-        while j >= 0 and not free[j]:
+        while j >= 0 and not masks[j]:
             j -= 1
         if j < 0:  # only larger blocks are free: split one as min_small_change would
             j = fit
@@ -373,7 +400,7 @@ def allocate_batch_sync(
     BatchRejected.
     """
     for size in sizes:
-        state.scheme.level_of(size)
+        _level(state, size)
     total = sum(sizes)
     if total > state.free_count:
         raise BatchRejected(
@@ -429,11 +456,11 @@ def check_consistency(state: BinState) -> None:
     if state.free_count != m_bits - used:
         raise AssertionError("free_count disagrees with groups plus blocked bins")
     seen = 0
-    for j, fs in enumerate(state.free):
-        size = state._sizes[j]
-        for start in fs:
-            if start % size:
-                raise AssertionError(f"free block {start}/{size} misaligned")
+    for j, size in enumerate(state._sizes):
+        starts = set(state.free_starts(j))
+        for start in starts:
+            if start + size > m_bits:
+                raise AssertionError(f"free block {start}/{size} lies beyond the band")
             mask = ((1 << size) - 1) << start
             if mask & occ:
                 raise AssertionError(f"free block {start}/{size} overlaps a held bin")
@@ -443,7 +470,7 @@ def check_consistency(state: BinState) -> None:
             if j < state._top:
                 parent = start - start % state._sizes[j + 1]
                 siblings = {parent + c * size for c in range(state._fanout[j])}
-                if siblings <= fs:
+                if siblings <= starts:
                     raise AssertionError(f"free block {start}/{size} not coalesced")
     if seen | occ != (1 << m_bits) - 1:
-        raise AssertionError("free lists plus held bins do not cover the band")
+        raise AssertionError("free blocks plus held bins do not cover the band")

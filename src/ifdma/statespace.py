@@ -109,9 +109,9 @@ def enumerate_super(m: int) -> int:
 def state_tree(state: BinState) -> str:
     """Encode a BinState as a state tree (blocked bins count as occupied).
 
-    A node is free iff it is a maximal free block, because the free
-    lists hold exactly the maximal free blocks and the encoding stops at
-    the first free ancestor.
+    A node is free iff it is a maximal free block, because the band
+    keeps exactly the maximal free blocks and the encoding stops at the
+    first free ancestor.
     """
     scheme = state.scheme
     if not scheme.is_power_of_two:
@@ -119,7 +119,7 @@ def state_tree(state: BinState) -> str:
     held = {r.start: r.size for ranges in state.groups.values() for r in ranges}
     for b in state.blocked:
         held[b] = 1
-    free = state.free
+    free = [set(state.free_starts(j)) for j in range(scheme.levels + 1)]
 
     def enc(start: int, level: int) -> str:
         if start in free[level]:
@@ -174,7 +174,7 @@ def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
 
     Each sequence grants at most one block, and together they cover every
     block the policy can grant.  Each grant is applied to ``state`` itself, yielded
-    as its range and released; free lists hold exactly the maximal free
+    as its range and released; a band keeps exactly the maximal free
     blocks, so the release restores the state and replayed draws choose
     the same again.
     """

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ifdma import allocator
 from ifdma.allocator import (
     MIN_SMALL_CHANGE,
     RANDOM,
@@ -56,9 +57,9 @@ class TestMinSmallChange:
         state = BinState(M8)
         out = admit(state, 0, 1)
         assert out.allocation.ranges == (AlignedRange(0, 1),)
-        assert state.free[0] == {1}
-        assert state.free[1] == {2}
-        assert state.free[2] == {4}
+        assert list(state.free_starts(0)) == [1]
+        assert list(state.free_starts(1)) == [2]
+        assert list(state.free_starts(2)) == [4]
 
     def test_tie_break_is_lowest_start(self):
         state = BinState(M8)
@@ -105,10 +106,10 @@ class TestRandomPolicy:
         for seed in range(40):
             state = BinState(M8)
             occupy(state, 4, 1)
-            assert state.free[0] == {5} and state.free[1] == {6}
+            assert list(state.free_starts(0)) == [5] and list(state.free_starts(1)) == [6]
             out = admit(state, 5, 1, RANDOM, Random(seed))
             assert out.allocation.ranges == (AlignedRange(5, 1),)
-            assert state.free[1] == {6}
+            assert list(state.free_starts(1)) == [6]
 
     def test_uniform_over_exact_blocks(self):
         rng = Random(1234)
@@ -348,6 +349,29 @@ class TestIdLifecycle:
         assert admit(state, 0, 4).granted
 
 
+class TestSharedRangeTables:
+    def test_equal_schemes_hand_out_one_range_object(self):
+        first = admit(BinState(RadixScheme((2, 3))), 0, 3).allocation.ranges[0]
+        second = admit(BinState(RadixScheme((2, 3))), 0, 3).allocation.ranges[0]
+        assert first == AlignedRange(0, 3) and first is second
+
+    def test_cache_holds_no_more_than_its_bound(self):
+        info = allocator._range_tables.cache_info()
+        for m in range(info.maxsize + 3):
+            assert admit(BinState(RadixScheme.power_of_two(m)), 0, 1).granted
+        assert allocator._range_tables.cache_info().currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("level", [0, 2, 3])
+def test_consistency_refuses_a_free_bit_beyond_the_band(level):
+    state = BinState(M8)
+    occupy(state, 1)
+    check_consistency(state)
+    state._masks[level] |= 1 << (M8.size // M8.block_sizes[level])
+    with pytest.raises(AssertionError, match="beyond the band"):
+        check_consistency(state)
+
+
 # -- trace properties ---------------------------------------------------------
 
 scheme_strategy = st.sampled_from([
@@ -482,23 +506,28 @@ def test_min_bounds_free_subsets_per_size(trace):
         if admit(state, next_id, size).granted:
             next_id += 1
         for j in range(scheme.levels):
-            assert len(state.free[j]) <= state._fanout[j] - 1
-        assert len(state.free[scheme.levels]) <= 1
+            assert len(list(state.free_starts(j))) <= state._fanout[j] - 1
+        assert len(list(state.free_starts(scheme.levels))) <= 1
         if scheme.is_power_of_two:
             sizes = [r.size for r in free_subsets(state)]
             assert len(sizes) == len(set(sizes))
 
 
 def linear_scan_gather(state, size):
-    """Reference gather: scan down from the top level for the largest fit."""
-    free, sizes = state.free, state._sizes
+    """Reference gather: scan down from the top level for the largest fit.
+
+    ``state`` is a ``BinState`` or a ``SetBand``; each level is read again
+    after every take.
+    """
+    sizes = state._sizes
     remaining = size
     taken = []
     while remaining:
         fit = state._top
         while sizes[fit] > remaining:
             fit -= 1
-        j = next((jj for jj in range(fit, -1, -1) if free[jj]), fit)
+        j = next((jj for jj in range(fit, -1, -1)
+                  if next(state.free_starts(jj), None) is not None), fit)
         start = state._take_min(j)
         taken.append(AlignedRange(start, sizes[j]))
         remaining -= sizes[j]
@@ -529,12 +558,177 @@ def test_multistream_matches_linear_scan_gather(trace):
             out = admit_multistream(state, rid, arg)
             if ref.free_count >= arg:
                 assert out.allocation.ranges == linear_scan_gather(ref, arg)
-                assert state.free == ref.free
+                assert free_subsets(state) == free_subsets(ref)
                 active.append(rid)
             else:
                 assert out.status is AdmissionStatus.BLOCKED_OVERLOAD
         elif active:
             release(state, active.pop(arg % len(active)))
+        check_consistency(state)
+
+
+class SetBand:
+    """The set-based buddy kernel that per-level bitmasks replaced, kept as a
+    reference: ``free[j]`` is the set of starts of the level-j maximal free
+    blocks.  It names its parts as ``BinState`` does, so ``linear_scan_gather``
+    runs on either."""
+
+    def __init__(self, scheme, blocked=()):
+        self._sizes = scheme.block_sizes
+        self._fanout = scheme.inner_radices
+        self._top = scheme.levels
+        self.free = [set() for _ in range(self._top + 1)]
+        self.free[self._top].add(0)
+        for b in sorted(blocked):
+            self._carve(b, 0)
+
+    def free_starts(self, level):
+        return iter(sorted(self.free[level]))
+
+    def free_ranges(self):
+        """What ``free_subsets`` gives for a ``BinState``."""
+        return sorted((AlignedRange(start, size)
+                       for size, fs in zip(self._sizes, self.free) for start in fs),
+                      key=lambda r: r.start)
+
+    def _carve(self, start, level):
+        sizes = self._sizes
+        free = self.free
+        for j in range(level, self._top + 1):
+            block = start - start % sizes[j]
+            if block in free[j]:
+                free[j].discard(block)
+                self._split(j, block, level, start)
+                return
+        raise ValueError(f"bins [{start}, {start + sizes[level]}) are not entirely free")
+
+    def _split(self, j, block, level, target):
+        sizes = self._sizes
+        fanout = self._fanout
+        free = self.free
+        s = block
+        for k in range(j - 1, level - 1, -1):
+            step = sizes[k]
+            idx = (target - s) // step
+            add = free[k].add
+            for c in range(fanout[k]):
+                if c != idx:
+                    add(s + c * step)
+            s += idx * step
+
+    def _release_block(self, start, level):
+        free = self.free
+        sizes = self._sizes
+        fanout = self._fanout
+        j = level
+        s = start
+        while j < self._top:
+            parent = s - s % sizes[j + 1]
+            fs = free[j]
+            step = sizes[j]
+            merged = True
+            for c in range(fanout[j]):
+                sib = parent + c * step
+                if sib != s and sib not in fs:
+                    merged = False
+                    break
+            if not merged:
+                fs.add(s)
+                return
+            for c in range(fanout[j]):
+                sib = parent + c * step
+                if sib != s:
+                    fs.discard(sib)
+            s = parent
+            j += 1
+        free[self._top].add(s)
+
+    def _take_min(self, n):
+        free = self.free
+        for j in range(n, self._top + 1):
+            fs = free[j]
+            if fs:
+                start = min(fs)
+                fs.discard(start)
+                self._split(j, start, n, start)
+                return start
+        return None
+
+    def _take_random(self, n, rng):
+        free = self.free
+        fs = free[n]
+        if fs:
+            if len(fs) == 1:
+                start = next(iter(fs))
+            else:
+                start = sorted(fs)[rng.randrange(len(fs))]
+            fs.discard(start)
+            return start
+        pooled = [(j, b) for j in range(n + 1, self._top + 1) for b in sorted(free[j])]
+        if not pooled:
+            return None
+        j, block = pooled[rng.randrange(len(pooled))]
+        free[j].discard(block)
+        sizes = self._sizes
+        fanout = self._fanout
+        target = block
+        for k in range(j - 1, n - 1, -1):
+            target += rng.randrange(fanout[k]) * sizes[k]
+        self._split(j, block, n, target)
+        return target
+
+
+@st.composite
+def kernel_traces(draw):
+    """A band, maybe with one blocked bin, and steps of every policy plus releases."""
+    scheme = draw(st.sampled_from(
+        [RadixScheme.power_of_two(m) for m in range(1, 7)]
+        + [RadixScheme((2, 3, 2)), RadixScheme((3, 2)), RadixScheme((5,))]))
+    blocked = draw(st.one_of(st.just(()), st.tuples(st.integers(0, scheme.size - 1))))
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from([MIN_SMALL_CHANGE, RANDOM, "multistream", "release"]),
+        st.integers(0, 63)), max_size=50))
+    return scheme, blocked, ops
+
+
+@given(kernel_traces(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_bitmask_kernel_matches_set_kernel(trace, seed):
+    """Every step places what the set kernel places, draws what it draws and
+    leaves the same maximal free blocks."""
+    scheme, blocked, ops = trace
+    state = BinState(scheme, blocked_bins=blocked)
+    ref = SetBand(scheme, blocked)
+    rng, ref_rng = Random(seed), Random(seed)
+    held: dict[int, tuple[AlignedRange, ...]] = {}
+    for rid, (kind, arg) in enumerate(ops):
+        if kind == "release":
+            if held:
+                victim = sorted(held)[arg % len(held)]
+                release(state, victim)
+                for r in held.pop(victim):
+                    ref._release_block(r.start, scheme.level_of(r.size))
+            want = None
+        elif kind == "multistream":
+            size = 1 + arg % scheme.size
+            enough = sum(r.size for r in ref.free_ranges()) >= size
+            want = linear_scan_gather(ref, size) if enough else None
+            got = admit_multistream(state, rid, size).allocation
+        else:
+            n = arg % (scheme.levels + 1)
+            size = scheme.block_sizes[n]
+            if kind == MIN_SMALL_CHANGE:
+                start = ref._take_min(n)
+            else:
+                start = ref._take_random(n, ref_rng)
+            want = None if start is None else (AlignedRange(start, size),)
+            got = admit(state, rid, size, kind, rng).allocation
+        if kind != "release":
+            assert (got and got.ranges) == want
+            if want:
+                held[rid] = want
+        assert free_subsets(state) == ref.free_ranges()
+        assert rng.getstate() == ref_rng.getstate()
         check_consistency(state)
 
 
@@ -553,8 +747,7 @@ def overload_traces(draw):
 def assert_overload_changes_nothing(state, rng):
     """Every admission asking for more bins than are free is refused as overload,
     and leaves the free lists, the groups, the free count and the rng as they were."""
-    before = ([set(fs) for fs in state.free], dict(state.groups), state.free_count,
-              rng.getstate())
+    before = (free_subsets(state), dict(state.groups), state.free_count, rng.getstate())
     rid = max(state.groups, default=-1) + 1
     for size in range(state.free_count + 1, state.scheme.size + 1):
         outs = [admit_multistream(state, rid, size)]
@@ -563,7 +756,8 @@ def assert_overload_changes_nothing(state, rng):
                      admit(state, rid, size, RANDOM, rng)]
         for out in outs:
             assert out.status is AdmissionStatus.BLOCKED_OVERLOAD and not out.granted
-        assert (state.free, state.groups, state.free_count, rng.getstate()) == before
+        assert (free_subsets(state), state.groups, state.free_count,
+                rng.getstate()) == before
 
 
 @given(overload_traces(), st.integers(0, 2**32 - 1))
@@ -622,7 +816,7 @@ def test_multistream_grants_iff_capacity(m_requests, seed):
 
 
 def band(state: BinState) -> tuple:
-    return [set(fs) for fs in state.free], state.free_count, dict(state.groups), state.blocked
+    return free_subsets(state), state.free_count, dict(state.groups), state.blocked
 
 
 class TestNonIntegerInputs:
@@ -640,6 +834,28 @@ class TestNonIntegerInputs:
         before = band(state.clone())
         with pytest.raises(ValueError, match="must be an int"):
             admit_multistream(state, 1, size)
+        assert band(state) == before
+        check_consistency(state)
+
+    @pytest.mark.parametrize("policy", [MIN_SMALL_CHANGE, RANDOM])
+    @pytest.mark.parametrize("size", [2.0, True])
+    def test_admit_size(self, size, policy):
+        state = self.partly_held()
+        before = band(state.clone())
+        rng = Random(0)
+        draws = rng.getstate()
+        with pytest.raises(ValueError, match="must be an int"):
+            admit(state, 1, size, policy, rng)
+        assert band(state) == before and rng.getstate() == draws
+        check_consistency(state)
+
+    @pytest.mark.parametrize("policy", [MIN_SMALL_CHANGE, SORT_FIRST])
+    @pytest.mark.parametrize("sizes", [[1, 2.0], [2, True]])
+    def test_batch_sizes(self, sizes, policy):
+        state = BinState(M8)
+        before = band(state.clone())
+        with pytest.raises(ValueError, match="must be an int"):
+            allocate_batch_sync(state, sizes, policy)
         assert band(state) == before
         check_consistency(state)
 

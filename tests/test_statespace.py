@@ -14,6 +14,7 @@ from ifdma.allocator import (
     admit_multistream,
     check_consistency,
     dcr_state,
+    free_subsets,
     place,
     release,
 )
@@ -242,9 +243,8 @@ def reference_random_starts(state: BinState) -> list[tuple[int, int]]:
     out = []
     for n in range(state.scheme.levels + 1):
         size = 1 << n
-        if state.free[n]:
-            starts = sorted(state.free[n])
-        else:
+        starts = list(state.free_starts(n))
+        if not starts:
             mask = (1 << size) - 1
             starts = [start for start in range(0, state.scheme.size, size)
                       if occ & (mask << start) == 0]
@@ -257,7 +257,7 @@ def random_starts(state: BinState) -> list[tuple[int, int]]:
 
 
 def snapshot(state: BinState) -> tuple:
-    return [set(fs) for fs in state.free], state.free_count, dict(state.groups)
+    return free_subsets(state), state.free_count, dict(state.groups)
 
 
 @given(
@@ -296,10 +296,9 @@ def test_arrivals_run_the_allocators_random_rule(monkeypatch):
 
     def lowest_exact_block(self, n, rng):
         rng.randrange(1)
-        if not self.free[n]:
-            return None
-        start = min(self.free[n])
-        self.free[n].discard(start)
+        start = next(self.free_starts(n), None)
+        if start is not None:
+            self._carve(start, n)
         return start
 
     monkeypatch.setattr(BinState, "_take_random", lowest_exact_block)
