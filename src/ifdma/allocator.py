@@ -7,9 +7,8 @@ Whenever every child of a parent block is free the children are
 coalesced, so the set bits are exactly the maximal free aligned ranges
 at all times.  ``BinState.free_starts(level)`` reads one level in
 increasing start order.  The bitmasks, ``groups`` (the ranges each
-active request holds) and ``blocked`` are the whole state, plus
-``free_count``, a counter of free bins that ``check_consistency``
-verifies against ``groups`` and ``blocked``.
+active request holds) and ``blocked`` are the whole state;
+``free_count`` is derived from the bitmasks when it is read.
 
 One core serves every policy.  ``BinState._split`` is the only split:
 it frees every part of a claimed block except the chain of children
@@ -43,7 +42,8 @@ Admission policies for a single request of an allowed size:
 either in arrival order or, for ``sort_first``, on a clean band in
 descending size order, which packs the band left to right.
 ``admit_multistream`` serves a request of arbitrary size by gathering
-several allowed-size blocks, so it never blocks on fragmentation.
+several allowed-size blocks, so it never blocks on fragmentation; its
+gather finds overload itself, when it runs out of free bins.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from random import Random
 from typing import NamedTuple
 
-from .mapping import AlignedRange, RadixScheme, bin_for_subcarrier, range_to_subcarriers
+from .mapping import (AlignedRange, RadixScheme, bin_for_subcarrier, range_to_subcarriers,
+                      validate_range)
 
 MIN_SMALL_CHANGE = "min_small_change"
 RANDOM = "random"
@@ -129,7 +131,7 @@ def _range_tables(scheme: RadixScheme) -> tuple[_RangeTable, ...]:
 class BinState:
     """Occupancy of one band: active allocations, blocked bins, free blocks."""
 
-    __slots__ = ("scheme", "free_count", "groups", "blocked",
+    __slots__ = ("scheme", "groups", "blocked",
                  "_masks", "_sizes", "_fanout", "_top", "_levels", "_ranges")
 
     def __init__(self, scheme: RadixScheme, blocked_bins: tuple[int, ...] = ()):
@@ -141,7 +143,6 @@ class BinState:
         self._ranges = _range_tables(scheme)
         # bit k of _masks[j]: the block at k * sizes[j] is a maximal free block
         self._masks = [0] * self._top + [1]
-        self.free_count = scheme.size
         self.groups: dict[int, tuple[AlignedRange, ...]] = {}
         self.blocked = frozenset(blocked_bins)
         for b in self.blocked:
@@ -151,7 +152,6 @@ class BinState:
             if not 0 <= b < scheme.size:
                 raise ValueError(f"blocked bin {b} out of range for band size {scheme.size}")
             self._carve(b, 0)
-            self.free_count -= 1
 
     def clone(self) -> "BinState":
         other = BinState.__new__(BinState)
@@ -162,10 +162,13 @@ class BinState:
         other._levels = self._levels
         other._ranges = self._ranges
         other._masks = self._masks.copy()
-        other.free_count = self.free_count
         other.groups = dict(self.groups)
         other.blocked = self.blocked
         return other
+
+    @property
+    def free_count(self) -> int:
+        return sum(map(mul, map(int.bit_count, self._masks), self._sizes))
 
     def free_starts(self, level: int) -> Iterator[int]:
         """Starts of the maximal free blocks of one level, in increasing order."""
@@ -278,12 +281,9 @@ def free_subsets(state: BinState) -> list[AlignedRange]:
     return out
 
 
-def _commit(
-    state: BinState, request_id: int, ranges: tuple[AlignedRange, ...], size: int
-) -> AdmissionOutcome:
+def _commit(state: BinState, request_id: int, ranges: tuple[AlignedRange, ...]) -> AdmissionOutcome:
     """Record a grant of already-claimed ranges and build its outcome."""
     state.groups[request_id] = ranges
-    state.free_count -= size
     return AdmissionOutcome(
         AdmissionStatus.GRANTED, Allocation(request_id, ranges, state.scheme)
     )
@@ -323,7 +323,7 @@ def admit(
         if state.free_count < size:
             return _BLOCKED_OVERLOAD
         return _BLOCKED_FRAGMENTATION
-    return _commit(state, request_id, (state._ranges[n][start],), size)
+    return _commit(state, request_id, (state._ranges[n][start],))
 
 
 def place(state: BinState, request_id: int, size: int, start: int) -> Allocation:
@@ -331,8 +331,9 @@ def place(state: BinState, request_id: int, size: int, start: int) -> Allocation
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
     r = AlignedRange(start, size)
-    state._carve(start, state.scheme.level_of(size))
-    return _commit(state, request_id, (r,), size).allocation
+    validate_range(r, state.scheme)
+    state._carve(start, state._levels[size])
+    return _commit(state, request_id, (r,)).allocation
 
 
 def release(state: BinState, request_id: int) -> None:
@@ -342,7 +343,6 @@ def release(state: BinState, request_id: int) -> None:
         raise ValueError(f"request id {request_id} is not active")
     levels = state._levels  # every held range has an allowed size
     for r in ranges:
-        state.free_count += r.size
         state._release_block(r.start, levels[r.size])
 
 
@@ -354,6 +354,7 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
     ``min_small_change`` would for the largest size that fits: the lowest
     of the smallest larger blocks, split keeping its lowest child.
     Grants whenever enough bins are free, so fragmentation never blocks.
+    Otherwise it hands back what it gathered, which restores the band exactly.
     """
     if type(size) is not int:
         raise ValueError(f"request size must be an int, got {size!r}")
@@ -361,8 +362,6 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
         raise ValueError(f"request size {size} out of range for band size {state.scheme.size}")
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
-    if state.free_count < size:
-        return _BLOCKED_OVERLOAD
     masks = state._masks
     sizes = state._sizes
     ranges = state._ranges
@@ -376,11 +375,15 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
         if j < 0:  # only larger blocks are free: split one as min_small_change would
             j = fit
         start = state._take_min(j)
+        if start is None:  # no bin is free: fewer than size were
+            for r in taken:
+                state._release_block(r.start, state._levels[r.size])
+            return _BLOCKED_OVERLOAD
         taken.append(ranges[j][start])
         remaining -= sizes[j]
     if len(taken) > 1:
         taken.sort(key=lambda r: r.start)
-    return _commit(state, request_id, tuple(taken), size)
+    return _commit(state, request_id, tuple(taken))
 
 
 def allocate_batch_sync(
@@ -402,14 +405,15 @@ def allocate_batch_sync(
     for size in sizes:
         _level(state, size)
     total = sum(sizes)
-    if total > state.free_count:
+    free = state.free_count
+    if total > free:
         raise BatchRejected(
-            f"batch needs {total} bins but only {state.free_count} of "
+            f"batch needs {total} bins but only {free} of "
             f"{state.scheme.size} are free"
         )
     order = range(len(sizes))
     if policy == SORT_FIRST:
-        if state.free_count != state.scheme.size:
+        if free != state.scheme.size:
             raise ValueError("sort_first packs a clean band and cannot honour bins in use")
         order = sorted(order, key=lambda i: -sizes[i])
     elif policy != MIN_SMALL_CHANGE:
@@ -436,7 +440,6 @@ def check_consistency(state: BinState) -> None:
     scheme = state.scheme
     m_bits = scheme.size
     occ = 0
-    used = 0
     for rid, ranges in state.groups.items():
         for r in ranges:
             scheme.level_of(r.size)
@@ -446,15 +449,11 @@ def check_consistency(state: BinState) -> None:
             if occ & mask:
                 raise AssertionError(f"group {rid} range {r} overlaps another allocation")
             occ |= mask
-            used += r.size
     for b in state.blocked:
         mask = 1 << b
         if occ & mask:
             raise AssertionError(f"blocked bin {b} overlaps an allocation")
         occ |= mask
-        used += 1
-    if state.free_count != m_bits - used:
-        raise AssertionError("free_count disagrees with groups plus blocked bins")
     seen = 0
     for j, size in enumerate(state._sizes):
         starts = set(state.free_starts(j))

@@ -53,6 +53,8 @@ class RadixScheme:
     radices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(type(p) is not int for p in self.radices):  # a bool is refused too
+            raise ValueError(f"radices must be ints, got {self.radices!r}")
         if any(p < 2 for p in self.radices):
             raise ValueError(f"radices must all be >= 2, got {self.radices}")
         size = 1

@@ -22,6 +22,8 @@ blocks a size-2**n request at a combined load of exactly
 
 from __future__ import annotations
 
+from .mapping import RadixScheme
+
 
 def strict_threshold(m: int) -> int:
     """Smallest combined load at which asynchronous blocking becomes reachable.
@@ -44,6 +46,7 @@ def worst_case_scenario(m: int, n: int) -> tuple[tuple[int, ...], int]:
     blocks with 2**(m-n) + 2**n bins in play.  For n = 0 the pattern
     degenerates to a fully loaded band (pure overload).
     """
+    RadixScheme.power_of_two(m)  # refuses an m outside the band cap
     if not 0 <= n <= m:
         raise ValueError(f"size class {n} out of range for m={m}")
     step = 1 << n

@@ -137,9 +137,12 @@ def state_tree(state: BinState) -> str:
 class ReachabilityReport:
     m: int
     policy: str
-    total: int
     arrival_reachable: frozenset[str]
     departure_only: frozenset[str]
+
+    @property
+    def total(self) -> int:
+        return len(self.arrival_reachable) + len(self.departure_only)
 
 
 class _Draws:
@@ -176,7 +179,8 @@ def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
     block the policy can grant.  Each grant is applied to ``state`` itself, yielded
     as its range and released; a band keeps exactly the maximal free
     blocks, so the release restores the state and replayed draws choose
-    the same again.
+    the same again.  A refusal draws nothing and means no free block is
+    that large, so the sizes above it are not tried.
     """
     rid = max(state.groups, default=-1) + 1
     draws = _Draws()
@@ -184,9 +188,10 @@ def _arrivals(state: BinState, policy: str) -> Iterator[AlignedRange]:
         more = True
         while more:
             outcome = admit(state, rid, 1 << n, policy, draws)
-            if outcome.granted:
-                yield outcome.allocation.ranges[0]
-                release(state, rid)
+            if not outcome.granted:
+                return
+            yield outcome.allocation.ranges[0]
+            release(state, rid)
             more = draws.advance()
 
 
@@ -234,7 +239,6 @@ def reachable_states(m: int, policy: str = MIN_SMALL_CHANGE) -> ReachabilityRepo
     return ReachabilityReport(
         m=m,
         policy=policy,
-        total=len(trees),
         arrival_reachable=arrivals,
         departure_only=frozenset(trees.values()) - arrivals,
     )

@@ -284,6 +284,12 @@ class TestPlace:
             place(state, 0, 1, 0)          # id already active
         check_consistency(state)
 
+    def test_refuses_a_block_past_the_band_before_touching_it(self):
+        state = BinState(M8)
+        with pytest.raises(ValueError, match="exceeds"):
+            place(state, 0, 1, 1 << 24)
+        assert free_subsets(state) == [AlignedRange(0, 8)] and not state.groups
+
 
 class TestOutcomeAndRangeContract:
     """What callers may rely on however cheaply a grant is built."""
@@ -728,8 +734,18 @@ def test_bitmask_kernel_matches_set_kernel(trace, seed):
             if want:
                 held[rid] = want
         assert free_subsets(state) == ref.free_ranges()
+        assert state.free_count == scheme.size - len(blocked) - sum(
+            r.size for ranges in held.values() for r in ranges)
         assert rng.getstate() == ref_rng.getstate()
         check_consistency(state)
+
+
+def test_free_count_is_derived_not_stored():
+    state = BinState(M8, blocked_bins=(5,))
+    with pytest.raises(AttributeError):
+        state.free_count = 8
+    admit(state, 0, 2, MIN_SMALL_CHANGE)
+    assert state.free_count == 5
 
 
 @st.composite

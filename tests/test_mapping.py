@@ -97,6 +97,11 @@ class TestRadixScheme:
         with pytest.raises(ValueError):
             RadixScheme.power_of_two(-1)
 
+    def test_radices_must_be_ints(self):
+        for radices in [(2.0, 2), (2, 3.0), (2, "3")]:
+            with pytest.raises(ValueError, match="must be ints"):
+                RadixScheme(radices)
+
     def test_band_size_cap(self):
         RadixScheme((2,) * 20)  # exactly MAX_BAND is fine
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from ifdma.allocator import (
     dcr_state,
     release,
 )
-from ifdma.mapping import RadixScheme
+from ifdma.mapping import MAX_M, RadixScheme
 from ifdma.nonblocking import strict_threshold, worst_case_scenario
 from ifdma.statespace import _arrivals, state_tree
 
@@ -91,6 +91,11 @@ class TestWorstCase:
         assert size == 4
         with pytest.raises(ValueError):
             worst_case_scenario(3, 4)
+
+    def test_refuses_m_beyond_the_band_cap(self):
+        # n = m keeps the pattern one bin long, so nothing large is built
+        with pytest.raises(ValueError, match=f"0..{MAX_M}"):
+            worst_case_scenario(MAX_M + 1, MAX_M + 1)
 
     @given(st.integers(0, 9), st.data())
     @settings(max_examples=60)
