@@ -17,13 +17,12 @@ sibling bits with one OR.  ``BinState._release_block`` is the only
 coalesce; it tests a sibling group with one mask compare.  ``_commit``
 is the only place a grant is recorded.
 
-A grant builds little per event.  A band has at most 2*M aligned
-blocks, so the ``AlignedRange`` of each block is built the first time
-it is granted and that same immutable record is handed out afterwards.
-The tables are built once per scheme, in a small cache, and shared by
-every band and clone of an equal scheme.  Levels are read from the
-scheme's ``level_by_size`` map, and an ``AdmissionOutcome`` is a named
-tuple.
+A single-block grant builds nothing.  A band has at most 2*M aligned
+blocks, so each block's granted ``AdmissionOutcome`` and its immutable
+``Allocation`` are built on the block's first grant and shared by every
+later one.  The tables are built once per scheme, in a small cache, and
+shared by every band of an equal scheme.  Only a multistream grant
+gathered from several blocks builds a fresh record.
 
 Admission policies for a single request of an allowed size:
 
@@ -52,7 +51,7 @@ import enum
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 from random import Random
 from typing import NamedTuple
@@ -75,11 +74,10 @@ class AdmissionStatus(enum.Enum):
     BLOCKED_FRAGMENTATION = "blocked_fragmentation"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class Allocation:
-    """Bins granted to one request, as one or more aligned ranges."""
+    """Bins granted to a request as aligned ranges; shared by every grant of one block."""
 
-    request_id: int
     ranges: tuple[AlignedRange, ...]
     scheme: RadixScheme
 
@@ -87,7 +85,7 @@ class Allocation:
     def size(self) -> int:
         return sum(r.size for r in self.ranges)
 
-    @cached_property
+    @property
     def subcarriers(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
         for r in self.ranges:
@@ -108,31 +106,33 @@ _BLOCKED_OVERLOAD = AdmissionOutcome(AdmissionStatus.BLOCKED_OVERLOAD)
 _BLOCKED_FRAGMENTATION = AdmissionOutcome(AdmissionStatus.BLOCKED_FRAGMENTATION)
 
 
-class _RangeTable(dict):
-    """The ``AlignedRange`` of every block of one level, built on first use."""
+class _GrantTable(dict):
+    """The granted outcome of every block of one level, built on first use."""
 
-    __slots__ = ("size",)
+    __slots__ = ("scheme", "size")
 
-    def __init__(self, size: int):
+    def __init__(self, scheme: RadixScheme, size: int):
         super().__init__()
+        self.scheme = scheme
         self.size = size
 
-    def __missing__(self, start: int) -> AlignedRange:
-        r = self[start] = AlignedRange(start, self.size)
-        return r
+    def __missing__(self, start: int) -> AdmissionOutcome:
+        g = self[start] = AdmissionOutcome(
+            AdmissionStatus.GRANTED, Allocation((AlignedRange(start, self.size),), self.scheme))
+        return g
 
 
 @lru_cache(maxsize=8)
-def _range_tables(scheme: RadixScheme) -> tuple[_RangeTable, ...]:
-    """One range table per level, shared by every band of an equal scheme."""
-    return tuple(_RangeTable(size) for size in scheme.block_sizes)
+def _grant_tables(scheme: RadixScheme) -> tuple[_GrantTable, ...]:
+    """One grant table per level, shared by every band of an equal scheme."""
+    return tuple(_GrantTable(scheme, size) for size in scheme.block_sizes)
 
 
 class BinState:
     """Occupancy of one band: active allocations, blocked bins, free blocks."""
 
     __slots__ = ("scheme", "groups", "blocked",
-                 "_masks", "_sizes", "_fanout", "_top", "_levels", "_ranges")
+                 "_masks", "_sizes", "_fanout", "_top", "_levels", "_grants")
 
     def __init__(self, scheme: RadixScheme, blocked_bins: tuple[int, ...] = ()):
         self.scheme = scheme
@@ -140,7 +140,7 @@ class BinState:
         self._fanout = scheme.inner_radices
         self._top = scheme.levels
         self._levels = scheme.level_by_size
-        self._ranges = _range_tables(scheme)
+        self._grants = _grant_tables(scheme)
         # bit k of _masks[j]: the block at k * sizes[j] is a maximal free block
         self._masks = [0] * self._top + [1]
         self.groups: dict[int, tuple[AlignedRange, ...]] = {}
@@ -160,7 +160,7 @@ class BinState:
         other._fanout = self._fanout
         other._top = self._top
         other._levels = self._levels
-        other._ranges = self._ranges
+        other._grants = self._grants
         other._masks = self._masks.copy()
         other.groups = dict(self.groups)
         other.blocked = self.blocked
@@ -281,12 +281,10 @@ def free_subsets(state: BinState) -> list[AlignedRange]:
     return out
 
 
-def _commit(state: BinState, request_id: int, ranges: tuple[AlignedRange, ...]) -> AdmissionOutcome:
-    """Record a grant of already-claimed ranges and build its outcome."""
-    state.groups[request_id] = ranges
-    return AdmissionOutcome(
-        AdmissionStatus.GRANTED, Allocation(request_id, ranges, state.scheme)
-    )
+def _commit(state: BinState, request_id: int, outcome: AdmissionOutcome) -> AdmissionOutcome:
+    """Record the grant of already-claimed ranges and return its outcome."""
+    state.groups[request_id] = outcome.allocation.ranges
+    return outcome
 
 
 def _level(state: BinState, size: int) -> int:
@@ -308,7 +306,9 @@ def admit(
     rng: Random | None = None,
 ) -> AdmissionOutcome:
     """Place request ``request_id`` of one allowed size, or report why it blocked."""
-    n = _level(state, size)
+    n = state._levels.get(size) if type(size) is int else None
+    if n is None:
+        n = _level(state, size)  # raises the ValueError that says what is wrong
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
     if policy == MIN_SMALL_CHANGE:
@@ -323,17 +323,17 @@ def admit(
         if state.free_count < size:
             return _BLOCKED_OVERLOAD
         return _BLOCKED_FRAGMENTATION
-    return _commit(state, request_id, (state._ranges[n][start],))
+    return _commit(state, request_id, state._grants[n][start])
 
 
 def place(state: BinState, request_id: int, size: int, start: int) -> Allocation:
     """Grant request ``request_id`` exactly the free aligned block of ``size`` at start."""
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
-    r = AlignedRange(start, size)
-    validate_range(r, state.scheme)
-    state._carve(start, state._levels[size])
-    return _commit(state, request_id, (r,)).allocation
+    validate_range(AlignedRange(start, size), state.scheme)
+    n = state._levels[size]
+    state._carve(start, n)
+    return _commit(state, request_id, state._grants[n][start]).allocation
 
 
 def release(state: BinState, request_id: int) -> None:
@@ -358,15 +358,15 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
     """
     if type(size) is not int:
         raise ValueError(f"request size must be an int, got {size!r}")
-    if not 1 <= size <= state.scheme.size:
-        raise ValueError(f"request size {size} out of range for band size {state.scheme.size}")
+    sizes = state._sizes
+    if not 1 <= size <= sizes[-1]:
+        raise ValueError(f"request size {size} out of range for band size {sizes[-1]}")
     if request_id in state.groups:
         raise ValueError(f"request id {request_id} is already active")
     masks = state._masks
-    sizes = state._sizes
-    ranges = state._ranges
+    grants = state._grants
     remaining = size
-    taken: list[AlignedRange] = []
+    taken: list[AdmissionOutcome] = []
     while remaining:
         fit = bisect_right(sizes, remaining) - 1  # the largest size <= remaining
         j = fit
@@ -376,14 +376,17 @@ def admit_multistream(state: BinState, request_id: int, size: int) -> AdmissionO
             j = fit
         start = state._take_min(j)
         if start is None:  # no bin is free: fewer than size were
-            for r in taken:
+            for g in taken:
+                (r,) = g.allocation.ranges
                 state._release_block(r.start, state._levels[r.size])
             return _BLOCKED_OVERLOAD
-        taken.append(ranges[j][start])
+        taken.append(grants[j][start])
         remaining -= sizes[j]
-    if len(taken) > 1:
-        taken.sort(key=lambda r: r.start)
-    return _commit(state, request_id, tuple(taken))
+    if len(taken) == 1:
+        return _commit(state, request_id, taken[0])
+    ranges = sorted((g.allocation.ranges[0] for g in taken), key=lambda r: r.start)
+    return _commit(state, request_id, AdmissionOutcome(
+        AdmissionStatus.GRANTED, Allocation(tuple(ranges), state.scheme)))
 
 
 def allocate_batch_sync(
@@ -402,30 +405,26 @@ def allocate_batch_sync(
     one at pos.  A batch whose total size exceeds the free capacity raises
     BatchRejected.
     """
+    if policy not in (SORT_FIRST, MIN_SMALL_CHANGE):
+        raise ValueError(f"unknown batch policy {policy!r}")
     for size in sizes:
         _level(state, size)
     total = sum(sizes)
     free = state.free_count
     if total > free:
-        raise BatchRejected(
-            f"batch needs {total} bins but only {free} of "
-            f"{state.scheme.size} are free"
-        )
+        raise BatchRejected(f"batch needs {total} bins but only {free} of "
+                            f"{state.scheme.size} are free")
     order = range(len(sizes))
     if policy == SORT_FIRST:
         if free != state.scheme.size:
             raise ValueError("sort_first packs a clean band and cannot honour bins in use")
         order = sorted(order, key=lambda i: -sizes[i])
-    elif policy != MIN_SMALL_CHANGE:
-        raise ValueError(f"unknown batch policy {policy!r}")
     out: list[Allocation | None] = [None] * len(sizes)
     for i in order:
         outcome = admit(state, i, sizes[i], MIN_SMALL_CHANGE)
         if outcome.allocation is None:
-            raise BatchRejected(
-                f"request {i} of size {sizes[i]} blocked "
-                f"({outcome.status.value}) despite capacity check"
-            )
+            raise BatchRejected(f"request {i} of size {sizes[i]} blocked "
+                                f"({outcome.status.value}) despite capacity check")
         out[i] = outcome.allocation
     return out
 

@@ -1,5 +1,6 @@
 """Allocator tests: worked placements, policy semantics, trace invariants."""
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -145,8 +146,9 @@ class TestRandomPolicy:
 
 class TestBatchSortFirst:
     def test_bit_reversal_worked_example(self):
-        allocs = allocate_batch_sync(BinState(M8), [1, 4, 2], SORT_FIRST)
-        assert [a.request_id for a in allocs] == [0, 1, 2]
+        state = BinState(M8)
+        allocs = allocate_batch_sync(state, [1, 4, 2], SORT_FIRST)
+        assert all(state.groups[i] == allocs[i].ranges for i in range(3))
         assert allocs[1].ranges == (AlignedRange(0, 4),)
         assert allocs[2].ranges == (AlignedRange(4, 2),)
         assert allocs[0].ranges == (AlignedRange(6, 1),)
@@ -161,8 +163,9 @@ class TestBatchSortFirst:
         assert allocs[1].subcarriers == {3}
 
     def test_size_ties_resolved_by_position(self):
-        allocs = allocate_batch_sync(BinState(M8), [2, 2, 4], SORT_FIRST)
-        assert [a.request_id for a in allocs] == [0, 1, 2]
+        state = BinState(M8)
+        allocs = allocate_batch_sync(state, [2, 2, 4], SORT_FIRST)
+        assert all(state.groups[i] == allocs[i].ranges for i in range(3))
         assert allocs[2].ranges == (AlignedRange(0, 4),)
         assert allocs[0].ranges == (AlignedRange(4, 2),)
         assert allocs[1].ranges == (AlignedRange(6, 2),)
@@ -184,6 +187,12 @@ class TestBatchSortFirst:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             allocate_batch_sync(BinState(M8), [1], "first_fit")
+
+    def test_unknown_policy_is_named_before_capacity_is_checked(self):
+        state = BinState(M8)
+        with pytest.raises(ValueError, match="unknown batch policy 'bogus'"):
+            allocate_batch_sync(state, [8, 8], "bogus")
+        assert state.groups == {} and state.free_count == 8
 
 
 class TestDcr:
@@ -362,10 +371,61 @@ class TestSharedRangeTables:
         assert first == AlignedRange(0, 3) and first is second
 
     def test_cache_holds_no_more_than_its_bound(self):
-        info = allocator._range_tables.cache_info()
+        info = allocator._grant_tables.cache_info()
         for m in range(info.maxsize + 3):
             assert admit(BinState(RadixScheme.power_of_two(m)), 0, 1).granted
-        assert allocator._range_tables.cache_info().currsize <= info.maxsize
+        assert allocator._grant_tables.cache_info().currsize <= info.maxsize
+
+    @pytest.mark.parametrize("scheme", [M8, M223, RadixScheme((3, 2, 5))])
+    def test_grant_tables_hold_at_most_two_records_per_bin(self, scheme):
+        for n, size in enumerate(scheme.block_sizes):
+            state = BinState(scheme)
+            rid = occupy(state, *[size] * (scheme.size // size))
+            assert len(allocator._grant_tables(scheme)[n]) == rid
+        assert sum(map(len, allocator._grant_tables(scheme))) <= 2 * scheme.size
+
+
+class TestSharedGrants:
+    """A single-block grant hands out its block's one immutable outcome."""
+
+    def test_equal_schemes_hand_out_one_outcome(self):
+        first = admit(BinState(RadixScheme.power_of_two(3)), 0, 4)
+        second = admit(BinState(RadixScheme((2, 2, 2))), 7, 4)
+        assert first.allocation.ranges == (AlignedRange(0, 4),) and first is second
+
+    def test_single_block_multistream_grant_is_the_admit_record(self):
+        assert admit_multistream(BinState(M8), 0, 4) is admit(BinState(M8), 1, 4)
+        gathered = admit_multistream(BinState(M8), 0, 3)
+        assert gathered.allocation.ranges == (AlignedRange(0, 2), AlignedRange(2, 1))
+        assert gathered is not admit_multistream(BinState(M8), 0, 3)
+
+    def test_allocation_is_frozen(self):
+        alloc = admit(BinState(M8), 0, 2).allocation
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alloc.ranges = (AlignedRange(4, 2),)
+        assert alloc.ranges == (AlignedRange(0, 2),)
+
+    def test_allocation_caches_nothing(self):
+        alloc = admit(BinState(M8), 0, 2).allocation
+        assert not hasattr(alloc, "__dict__")
+        assert alloc.subcarriers == {0, 4} and not hasattr(alloc, "__dict__")
+
+    @pytest.mark.parametrize("grant", [
+        lambda state: admit(state, 5, 2),
+        lambda state: admit(state, 5, 1, RANDOM, Random(3)),
+        lambda state: admit_multistream(state, 5, 2),
+        lambda state: admit_multistream(state, 5, 7),
+    ])
+    def test_groups_hold_the_outcome_ranges(self, grant):
+        state = BinState(M8)
+        outcome = grant(state)
+        assert state.groups[5] is outcome.allocation.ranges
+
+    def test_place_hands_out_the_admit_record(self):
+        state = BinState(M8)
+        alloc = place(state, 6, 4, 4)
+        assert state.groups[6] is alloc.ranges
+        assert alloc is admit(BinState(M8, blocked_bins=(0,)), 0, 4).allocation
 
 
 @pytest.mark.parametrize("level", [0, 2, 3])
@@ -410,11 +470,12 @@ def batches(draw, max_total=None):
 def test_full_loading_property(batch, policy):
     """Any batch with total size <= M is granted in full, without overlap."""
     scheme, sizes = batch
-    allocs = allocate_batch_sync(BinState(scheme), sizes, policy)
+    state = BinState(scheme)
+    allocs = allocate_batch_sync(state, sizes, policy)
     claimed: set[int] = set()
     subs: set[int] = set()
     for i, (size, alloc) in enumerate(zip(sizes, allocs, strict=True)):
-        assert alloc.request_id == i
+        assert state.groups[i] == alloc.ranges
         assert alloc.size == size
         bins = {b for r in alloc.ranges for b in r.bins()}
         assert len(bins) == size and not bins & claimed
@@ -733,6 +794,7 @@ def test_bitmask_kernel_matches_set_kernel(trace, seed):
             assert (got and got.ranges) == want
             if want:
                 held[rid] = want
+        assert state.groups == held
         assert free_subsets(state) == ref.free_ranges()
         assert state.free_count == scheme.size - len(blocked) - sum(
             r.size for ranges in held.values() for r in ranges)
