@@ -2,9 +2,10 @@
 
 The package maps contiguous "bins" to evenly spaced subcarriers by
 mixed-radix digit reversal, fills bins under several admission policies
-(including a buddy-style allocator with coalescing free lists), decides
-nonblocking admission regions, enumerates the Markov state space of a
-band, synthesizes and cross-checks the low-PAPR waveform, and simulates
+(including a buddy-style allocator that keeps each level's maximal free
+blocks as one bitmask and coalesces freed buddies), states the strict
+nonblocking threshold, enumerates the Markov state space of a band,
+synthesizes and cross-checks the low-PAPR waveform, and simulates
 blocking probabilities under Poisson traffic.
 """
 
@@ -20,7 +21,6 @@ from .allocator import (
     admit,
     admit_multistream,
     allocate_batch_sync,
-    check_consistency,
     dcr_state,
     free_subsets,
     place,
@@ -31,7 +31,6 @@ from .mapping import (
     RadixScheme,
     bin_digits,
     bin_for_subcarrier,
-    bit_reverse,
     digit_reverse,
     range_to_subcarriers,
     subcarrier_shift,
@@ -62,7 +61,6 @@ from .statespace import (
     enumerate_fine,
     enumerate_super,
     f_rec,
-    fine_states,
     g_rec,
     reachable_states,
     state_tree,
@@ -104,16 +102,13 @@ __all__ = [
     "allocate_batch_sync",
     "bin_digits",
     "bin_for_subcarrier",
-    "bit_reverse",
     "build_configs",
-    "check_consistency",
     "csv_row",
     "dcr_state",
     "digit_reverse",
     "enumerate_fine",
     "enumerate_super",
     "f_rec",
-    "fine_states",
     "free_subsets",
     "g_rec",
     "multistream_time",

@@ -273,6 +273,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 def cmd_states(args: argparse.Namespace) -> int:
     m, mode = args.m, args.mode
+    if args.policy and mode != "reachable":
+        return _fail(f"--mode {mode} counts every state whatever the policy; drop --policy")
     if m < 0:
         return _fail(f"m must be >= 0, got {m}")
     payload: dict = {"m": m, "mode": mode}
@@ -281,7 +283,7 @@ def cmd_states(args: argparse.Namespace) -> int:
             payload.update(total=None, verdict="SKIPPED")
             return _emit(args, payload, lambda: f"reachable states m={m}: "
                                                 f"search skipped above m={REACHABLE_CAP}")
-        policy = _policy(args.policy)
+        policy = _policy(args.policy or "min-small-change")
         report = reachable_states(m, policy)
         payload.update(
             policy=policy,
@@ -401,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=("fine", "super", "reachable"), default="fine")
     p.add_argument("--policy", choices=("min-small-change", "random"),
-                   default="min-small-change",
-                   help="admission policy for --mode reachable")
+                   help="admission policy for --mode reachable (default min-small-change)")
     p.set_defaults(func=cmd_states)
 
     p = subs.add_parser("wave", help="cross-check waveform synthesis")

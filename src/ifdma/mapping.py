@@ -33,19 +33,6 @@ MAX_BAND = 1 << 20  # refuse absurd band sizes before building O(M) tables
 MAX_M = MAX_BAND.bit_length() - 1  # largest m whose band 2**m fits the cap
 
 
-def bit_reverse(k: int, m: int) -> int:
-    """Reverse the m-bit binary representation of k."""
-    if m < 0:
-        raise ValueError(f"bit width must be >= 0, got {m}")
-    if not 0 <= k < (1 << m):
-        raise ValueError(f"index {k} out of range for {m} bits")
-    r = 0
-    for _ in range(m):
-        r = (r << 1) | (k & 1)
-        k >>= 1
-    return r
-
-
 @dataclass(frozen=True)
 class RadixScheme:
     """Factorization of the band size M, most-significant radix first."""

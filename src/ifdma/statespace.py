@@ -11,7 +11,10 @@ identically up to relabeling, so they form one super state;
 ``enumerate_super`` counts them by a canonical form that orders every
 child pair lexicographically.  A split's canonical form depends only on
 its children's, so each level is built from the distinct forms of the
-level below, never from the fine states.
+level below, never from the fine states.  One builder serves both
+counts: ``enumerate_fine`` pairs the trees of each level in every
+order, ``enumerate_super`` pairs the canonical forms only in sorted
+order.
 
 ``reachable_states`` searches admit/release transitions from the empty
 band once, keying each state by the ranges it holds, and derives the
@@ -66,44 +69,34 @@ def g_rec(m: int) -> int:
     return g
 
 
-def fine_states(m: int) -> list[str]:
-    """Every valid state tree of depth m, built bottom-up."""
+def _forms(m: int, canonical: bool = False) -> set[str]:
+    """Every state tree of depth m, or with ``canonical`` every canonical form.
+
+    The forms of depth k + 1 are F, O and every pair of depth-k forms
+    except (FF).  A tree takes every ordered pair.  A split of two subtrees
+    with canonical forms a <= b has canonical form ``(ab)``, so a
+    canonical form takes only the pairs a <= b.  A set counts each form
+    once.
+    """
     _check_depth(m, FINE_ENUM_CAP, "enumeration")
-    states = [FREE, OCCUPIED]
+    forms = {FREE, OCCUPIED}
     for _ in range(m):
-        states = [FREE, OCCUPIED] + [
-            f"({l}{r})"
-            for l in states
-            for r in states
-            if not (l == FREE and r == FREE)
-        ]
-    return states
+        below = sorted(forms)
+        forms = {FREE, OCCUPIED}
+        forms.update(f"({a}{b})" for i, a in enumerate(below)
+                     for b in (below[i:] if canonical else below))
+        forms.discard(f"({FREE}{FREE})")
+    return forms
 
 
 def enumerate_fine(m: int) -> int:
-    """Count fine states by explicit construction (checking for duplicates)."""
-    states = fine_states(m)
-    distinct = len(set(states))
-    if distinct != len(states):
-        raise AssertionError("fine-state construction produced duplicates")
-    return distinct
+    """Count fine states by building every state tree."""
+    return len(_forms(m))
 
 
 def enumerate_super(m: int) -> int:
-    """Count super states by building the distinct canonical forms level by level.
-
-    A split of two subtrees with canonical forms a <= b has canonical
-    form ``(ab)``, so the forms of depth k + 1 are F, O and every ordered
-    pair of depth-k forms except (FF).
-    """
-    _check_depth(m, FINE_ENUM_CAP, "enumeration")
-    canons = {FREE, OCCUPIED}
-    for _ in range(m):
-        below = sorted(canons)
-        canons = {FREE, OCCUPIED}
-        canons.update(f"({a}{b})" for i, a in enumerate(below) for b in below[i:])
-        canons.discard(f"({FREE}{FREE})")
-    return len(canons)
+    """Count super states by building the distinct canonical forms level by level."""
+    return len(_forms(m, canonical=True))
 
 
 def state_tree(state: BinState) -> str:

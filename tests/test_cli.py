@@ -564,6 +564,27 @@ class TestStates:
         assert payload == {"m": 2, "mode": "fine", "recurrence": 26,
                            "enumerated": 26, "verdict": "AGREE"}
 
+    @pytest.mark.parametrize("mode", ["fine", "super"])
+    @pytest.mark.parametrize("policy", ["min-small-change", "random"])
+    def test_policy_outside_reachable_is_a_usage_error(self, capsys, mode, policy):
+        code, out, err = run_cli(capsys, "states", "--m", "2", "--mode", mode,
+                                 "--policy", policy)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode, rec", [("fine", "f_rec"), ("super", "g_rec")])
+    def test_count_off_the_recurrence_disagrees(self, capsys, monkeypatch, mode, rec):
+        monkeypatch.setattr(cli, rec, lambda m: 7)
+        code, out, _ = run_cli(capsys, "states", "--m", "2", "--mode", mode)
+        assert code == 1
+        assert out.strip().endswith("recurrence 7, enumerated "
+                                    f"{26 if mode == 'fine' else 11} DISAGREE")
+        code, out, _ = run_cli(capsys, "states", "--m", "2", "--mode", mode, "--json")
+        assert code == 1
+        payload = assert_canonical_json(out)
+        assert (payload["recurrence"], payload["verdict"]) == (7, "DISAGREE")
+
 
 class TestWave:
     def test_both_checks_pass(self, capsys):

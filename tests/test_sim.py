@@ -21,7 +21,6 @@ from ifdma.allocator import (
     BinState,
     admit,
     admit_multistream,
-    check_consistency,
     free_subsets,
     release,
 )
@@ -35,6 +34,7 @@ from ifdma.sim import (
     run,
     write_csv,
 )
+from invariants import check_consistency
 
 
 def kaufman_roberts(m: int, G: float) -> float:

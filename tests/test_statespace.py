@@ -12,7 +12,6 @@ from ifdma.allocator import (
     BinState,
     admit,
     admit_multistream,
-    check_consistency,
     dcr_state,
     free_subsets,
     place,
@@ -25,12 +24,13 @@ from ifdma.statespace import (
     enumerate_fine,
     enumerate_super,
     f_rec,
-    fine_states,
     g_rec,
     reachable_states,
     state_tree,
     _arrivals,
+    _forms,
 )
+from invariants import check_consistency
 
 FINE_COUNTS = {0: 2, 1: 5, 2: 26, 3: 677, 4: 458330}
 SUPER_COUNTS = {0: 2, 1: 4, 2: 11, 3: 67, 4: 2279}
@@ -66,24 +66,24 @@ class TestFineEnumeration:
             assert enumerate_fine(m) == f_rec(m)
 
     def test_m1_states_explicit(self):
-        assert set(fine_states(1)) == {"F", "O", "(OO)", "(OF)", "(FO)"}
+        assert _forms(1) == {"F", "O", "(OO)", "(OF)", "(FO)"}
 
     def test_no_uncoalesced_pair(self):
-        for state in fine_states(3):
+        for state in _forms(3):
             assert "(FF)" not in state
 
     def test_encodings_are_wellformed(self):
-        for state in fine_states(2):
+        for state in _forms(2):
             assert re.fullmatch(r"[FO()]+", state)
             assert state.count("(") == state.count(")")
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            fine_states(FINE_ENUM_CAP + 1)
+            _forms(FINE_ENUM_CAP + 1)
         with pytest.raises(ValueError):
             enumerate_fine(FINE_ENUM_CAP + 1)
         with pytest.raises(ValueError):
-            fine_states(-1)
+            _forms(-1)
 
 
 def canonical(tree: str) -> str:
@@ -109,8 +109,9 @@ class TestCanonicalForm:
     def test_matches_canonicalized_fine_states(self):
         assert canonical("((OF)(FO))") == canonical("((FO)(OF))") == "((FO)(FO))"
         for m in range(4):
-            want = len({canonical(tree) for tree in fine_states(m)})
-            assert enumerate_super(m) == want == g_rec(m)
+            want = {canonical(tree) for tree in _forms(m)}
+            assert _forms(m, canonical=True) == want
+            assert enumerate_super(m) == len(want) == g_rec(m)
 
 
 class TestStateTree:
@@ -153,7 +154,7 @@ class TestStateTree:
     def test_trace_produces_valid_encodings(self, ops):
         scheme = RadixScheme.power_of_two(3)
         state = BinState(scheme)
-        valid = set(fine_states(3))
+        valid = _forms(3)
         active = []
         next_id = 0
         for is_admit, arg in ops:
